@@ -5,11 +5,11 @@ batch-native optimizer stack. The workload is the acceptance scenario — a
 10-qubit ER graph with the winning ``('rx', 'ry')`` mixer at depth p=4
 (the same probe every engine bench uses) — trained by multi-restart SPSA
 with K=8 seeds. The batched path pushes each iteration's 2K ± probes
-through one :meth:`CompiledProgram.energies` call; the serial path is the
-historical loop of K independent trainings, one scalar energy call per
-point. Identical trajectories (the batched lockstep replays the serial
-perturbation streams), so the wall-clock ratio is pure batching win. The
-claim: >=3x.
+through one :meth:`CompiledProgram.energies` call; the serial baseline is
+the per-row loop ``[base.minimize(fn, x0) for x0 in X0]`` — K independent
+trainings, one batch-of-one energy call per point. Identical trajectories
+(the batched lockstep replays the per-row perturbation streams), so the
+wall-clock ratio is pure batching win. The claim: >=3x.
 
 Runs standalone (``python benchmarks/bench_batched_optimizers.py``) or
 under pytest-benchmark via the shared ``once`` fixture. The workload is
@@ -49,26 +49,33 @@ def _population(num_parameters: int) -> np.ndarray:
 
 
 def time_multi_restart(
-    base, negated, X0: np.ndarray, *, batch_mode: str, repeats: int = 1
+    base, negated, X0: np.ndarray, *, serial: bool, repeats: int = 1
 ) -> dict:
-    """Best-of-``repeats`` wall-clock of one multi-restart training run.
+    """Best-of-``repeats`` wall-clock of one multi-restart training run:
+    the per-row ``base.minimize`` loop when ``serial``, else
+    :class:`MultiRestart` over the whole population.
 
     Shared harness: this bench's serial-vs-batched gate and
     ``scripts/bench_report.py``'s committed throughput report both time
     through here, so the two can never measure differently.
     """
-    meta = MultiRestart(base, batch_mode=batch_mode)
     best_seconds = np.inf
-    result = None
+    results = []
     for _ in range(repeats):
         start = time.perf_counter()
-        result = meta.minimize_population(negated, X0, batch_fn=negated.values)
+        if serial:
+            results = [base.minimize(negated, x0) for x0 in X0]
+        else:
+            results = MultiRestart(base).minimize_population(
+                negated, X0, batch_fn=negated.values
+            ).sub_results
         best_seconds = min(best_seconds, time.perf_counter() - start)
+    nfev = sum(r.nfev for r in results)
     return {
         "seconds": best_seconds,
-        "nfev": result.nfev,
-        "points_per_sec": result.nfev / best_seconds,
-        "best_energy": -result.fun,
+        "nfev": nfev,
+        "points_per_sec": nfev / best_seconds,
+        "best_energy": -min(r.fun for r in results),
     }
 
 
@@ -82,8 +89,7 @@ def run_bench() -> dict:
     negated = energy.negative_objective()
     X0 = _population(ansatz.num_parameters)
 
-    # Warm both evaluation paths (compile, lazy diag lookups) off-clock.
-    negated(X0[0])
+    # Warm the engine (compile, lazy diag lookups) off-clock.
     negated.values(X0)
 
     measured: dict = {}
@@ -94,19 +100,19 @@ def run_bench() -> dict:
         serial = batched = None
         for _ in range(TIMING_REPEATS):
             serial = _best_of(
-                serial, time_multi_restart(base, negated, X0, batch_mode="serial")
+                serial, time_multi_restart(base, negated, X0, serial=True)
             )
             batched = _best_of(
-                batched, time_multi_restart(base, negated, X0, batch_mode="batched")
+                batched, time_multi_restart(base, negated, X0, serial=False)
             )
         speedup = serial["seconds"] / batched["seconds"]
         # SPSA's point budget is fixed (2 evals/iteration regardless of
         # values), so serial and batched must train identical counts.
-        # Nelder-Mead's branch predicates compare energies computed by
-        # different kernels on the two paths (scalar state() vs the
-        # batch-major kernels, equal only to ~1e-15); a 1-ulp tie can
-        # legitimately flip a branch and change the eval count, so its
-        # budgets are not asserted — only the minima, within tolerance.
+        # Nelder-Mead's branch predicates compare energies computed at
+        # different batch widths (batches of one vs the whole population,
+        # equal only to ~1e-15); a 1-ulp tie can legitimately flip a
+        # branch and change the eval count, so its budgets are not
+        # asserted — only the minima, within tolerance.
         if label == "spsa":
             assert serial["nfev"] == batched["nfev"], (
                 f"{label}: serial trained {serial['nfev']} points but "

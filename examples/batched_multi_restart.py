@@ -3,11 +3,11 @@
 Quickstart for the batch-native optimizer stack: train the paper's
 winning ``('rx', 'ry')`` mixer with K random restarts where every SPSA
 iteration evaluates all 2K +- probes in a *single* vectorized
-``energies`` call (compare ``batch_mode="serial"`` — the historical
-loop of K independent trainings). The same knobs ride the Evaluator:
-``EvaluationConfig(optimizer="spsa", restarts=8, batch_mode="auto")``
-trains every candidate of a search this way, and the CLI exposes them as
-``--optimizer/--restarts/--batch-mode``.
+``energies`` call (compare the per-row loop of K independent
+``minimize`` calls, one batch-of-one energy call per point). The same
+knobs ride the Evaluator: ``EvaluationConfig(optimizer="spsa",
+restarts=8)`` trains every candidate of a search this way, and the CLI
+exposes them as ``--optimizer/--restarts``.
 
 Run from the repo root::
 
@@ -35,18 +35,22 @@ seeds = np.random.default_rng(7).uniform(-0.5, 0.5, (RESTARTS, ansatz.num_parame
 
 print(f"training {RESTARTS} restarts of ('rx','ry') at p={P} "
       f"on a {graph.num_nodes}-node graph\n")
-for mode in ("serial", "batched"):
-    optimizer = MultiRestart(SPSA(maxiter=STEPS, seed=0), batch_mode=mode)
-    start = time.perf_counter()
-    result = optimizer.minimize_population(negated, seeds, batch_fn=negated.values)
-    seconds = time.perf_counter() - start
-    print(f"{mode:>8}: best <C> = {-result.fun:.4f} "
-          f"({result.nfev} trained points, {seconds:.2f}s)")
-
-# The same path through the Evaluator — one config knob:
-config = EvaluationConfig(
-    optimizer="spsa", max_steps=2 * STEPS, restarts=RESTARTS, batch_mode="auto"
+spsa = SPSA(maxiter=STEPS, seed=0)
+start = time.perf_counter()
+per_row = [spsa.minimize(negated, x0) for x0 in seeds]
+seconds = time.perf_counter() - start
+print(f"  serial: best <C> = {-min(r.fun for r in per_row):.4f} "
+      f"({sum(r.nfev for r in per_row)} trained points, {seconds:.2f}s)")
+start = time.perf_counter()
+result = MultiRestart(spsa).minimize_population(
+    negated, seeds, batch_fn=negated.values
 )
+seconds = time.perf_counter() - start
+print(f" batched: best <C> = {-result.fun:.4f} "
+      f"({result.nfev} trained points, {seconds:.2f}s)")
+
+# The same path through the Evaluator — two config knobs:
+config = EvaluationConfig(optimizer="spsa", max_steps=2 * STEPS, restarts=RESTARTS)
 evaluation = Evaluator([graph], config).evaluate(("rx", "ry"), P)
 print(f"\nEvaluator reward (mean ratio): {evaluation.ratio:.4f} "
       f"in {evaluation.seconds:.2f}s ({evaluation.nfev} evaluations)")

@@ -175,7 +175,7 @@ def append_history(report: dict) -> Path:
 
 def measure_batched_optimizer(ansatz) -> dict:
     """Points/sec of batched vs serial multi-restart SPSA (the optimizer
-    stack's fast path vs the loop-per-point path it replaced), through the
+    stack's fast path vs the per-row ``minimize`` loop), through the
     gate bench's shared timing harness at a smaller CI-cheap budget."""
     sys.path.insert(0, "benchmarks")
     from bench_batched_optimizers import time_multi_restart
@@ -189,7 +189,7 @@ def measure_batched_optimizer(ansatz) -> dict:
     for mode in ("serial", "batched"):
         timed = time_multi_restart(
             SPSA(maxiter=BATCH_ITERS, seed=0), negated, X0,
-            batch_mode=mode, repeats=1,
+            serial=mode == "serial", repeats=1,
         )
         rows[mode] = {
             "seconds": timed["seconds"],

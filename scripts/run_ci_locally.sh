@@ -4,7 +4,8 @@
 #   lint        ruff check . (falls back to scripts/lint_fallback.py when
 #               ruff is not installed — e.g. offline dev containers)
 #   docs        README/docs link check + smoke-run of the README snippets
-#   tests       CLI smoke + tier-1 pytest
+#   tests       CLI smoke + tier-1 pytest + the two race tests looped
+#               200 times each
 #   bench-smoke tiny end-to-end search with warm-cache assertions, the
 #               service smoke (two concurrent sweeps sharing a cache), the
 #               chaos smoke (fault-injected service invariants), and the
@@ -31,6 +32,11 @@ echo "CLI smoke OK"
 
 echo "=== job: tests (tier-1 pytest) ==="
 python -m pytest -x -q
+
+echo "=== job: tests (race tests, 200 consecutive passes each) ==="
+python scripts/repeat_tests.py --times 200 \
+    tests/core/test_cache_multitenant.py::TestConcurrency::test_parallel_tenants_share_work_without_duplicates \
+    tests/service/test_service_multiplexer.py::TestFairness::test_max_running_per_tenant_caps_slot_share
 
 echo "=== job: bench-smoke ==="
 python scripts/ci_smoke.py --only search

@@ -25,7 +25,6 @@ from repro.core.search import SearchConfig, search_mixer
 from repro.experiments.discovery import draw_mixer
 from repro.experiments.figures import render_table
 from repro.graphs.datasets import DATASET_FAMILIES
-from repro.optimizers import BATCH_MODES
 from repro.parallel.executor import MultiprocessingExecutor, available_cores
 from repro.simulators.backends import available_array_backends
 from repro.surrogate.config import SurrogateConfig
@@ -78,10 +77,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--restarts", type=int, default=2,
                         help="independent optimizer restarts per graph; "
                              "batch-native optimizers train them as one batch")
-    parser.add_argument("--batch-mode", default="auto", choices=list(BATCH_MODES),
-                        help="restart training: auto batches whenever the "
-                             "optimizer supports it; serial forces one run "
-                             "per restart")
     parser.add_argument("--metric", default="best_sampled",
                         choices=["energy", "best_sampled"])
     parser.add_argument("--shots", type=int, default=64)
@@ -210,7 +205,6 @@ def _eval_config(args) -> EvaluationConfig:
         optimizer=args.optimizer,
         max_steps=args.steps,
         restarts=args.restarts,
-        batch_mode=args.batch_mode,
         seed=args.seed,
         metric=args.metric,
         shots=args.shots,

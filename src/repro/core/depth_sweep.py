@@ -68,7 +68,6 @@ def warm_started_sweep(
     builder: QBuilder | None = None,
     restarts: int = 1,
     optimizer: str = "cobyla",
-    batch_mode: str = "auto",
 ) -> list[DepthPoint]:
     """Train ``tokens`` at p = 1..p_max with INTERP warm starts.
 
@@ -78,7 +77,7 @@ def warm_started_sweep(
     optimizer wobble, which the fallback absorbs). ``restarts`` widens each
     depth into a population whose first row is the warm start (the other
     rows are jittered ramps), trained as one batch when ``optimizer`` is
-    batch-native (``"spsa"``/``"nelder_mead"``) and ``batch_mode`` allows.
+    batch-native (``"spsa"``/``"nelder_mead"``).
     """
     check_positive(p_max, "p_max")
     check_positive(restarts, "restarts")
@@ -86,9 +85,7 @@ def warm_started_sweep(
     tokens = tuple(tokens)
     points: list[DepthPoint] = []
     previous: np.ndarray | None = None
-    meta = MultiRestart(
-        _sweep_optimizer(optimizer, max_steps, seed), batch_mode=batch_mode
-    )
+    meta = MultiRestart(_sweep_optimizer(optimizer, max_steps, seed))
     for p in range(1, p_max + 1):
         ansatz = builder.build_qaoa(graph, tokens, p)
         energy = AnsatzEnergy(ansatz)

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.qbuilder import QBuilder
 from repro.core.results import CandidateEvaluation
 from repro.graphs.generators import Graph
-from repro.optimizers import BATCH_MODES, MultiRestart, Optimizer, training_optimizer
+from repro.optimizers import MultiRestart, Optimizer, training_optimizer
 from repro.qaoa.energy import ENGINES, AnsatzEnergy
 from repro.qaoa.maxcut import approximation_ratio
 from repro.simulators.backends import available_array_backends
@@ -96,11 +96,6 @@ class EvaluationConfig:
     #: previous depth's optimum when the runtime provides one, ramp draws
     #: for the remaining restarts)
     init_strategy: str = "uniform"
-    #: how restart populations train: "auto" batches all restarts' per-step
-    #: proposals into single vectorized energy calls whenever the optimizer
-    #: is batch-native (spsa, nelder_mead, adam), "batched" forces the
-    #: population path, "serial" forces one optimizer run per restart
-    batch_mode: str = "auto"
     #: which problem the candidates optimize — a repro.workloads registry
     #: key. Part of the cache fingerprint (like engine/array_backend), so
     #: two workloads can never share cached candidate results.
@@ -118,11 +113,6 @@ class EvaluationConfig:
             raise ValueError(
                 f"unknown array backend {self.array_backend!r}; "
                 f"options: {available_array_backends()}"
-            )
-        if self.batch_mode not in BATCH_MODES:
-            raise ValueError(
-                f"unknown batch mode {self.batch_mode!r}; "
-                f"options: {BATCH_MODES}"
             )
         if self.metric not in ("energy", "best_sampled"):
             raise ValueError(
@@ -330,18 +320,14 @@ class Evaluator:
         """Best trained energy over the restart population for one graph.
 
         All restarts train as one population through :class:`MultiRestart`:
-        with a batch-native optimizer (and ``batch_mode`` "auto"/"batched")
-        every step's proposals across restarts ride a single vectorized
-        energy call; otherwise the population falls back to one serial
-        optimizer run per restart — identical results, point for point.
+        with a batch-native optimizer (spsa, nelder_mead, adam) every
+        step's proposals across restarts ride a single vectorized energy
+        call; COBYLA runs one optimizer per restart.
         """
         X0 = self._initial_points(
             objective.ansatz.num_parameters, graph_index, p, tokens, warm_row
         )
-        optimizer = MultiRestart(
-            _make_optimizer(self.config, objective),
-            batch_mode=self.config.batch_mode,
-        )
+        optimizer = MultiRestart(_make_optimizer(self.config, objective))
         negated = objective.negative_objective()
         result = optimizer.minimize_population(
             negated, X0, batch_fn=negated.values

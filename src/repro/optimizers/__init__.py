@@ -18,11 +18,10 @@ from repro.optimizers.base import (
 )
 from repro.optimizers.cobyla import Cobyla
 from repro.optimizers.nelder_mead import NelderMead
-from repro.optimizers.restarts import BATCH_MODES, MultiRestart
+from repro.optimizers.restarts import MultiRestart
 from repro.optimizers.spsa import SPSA
 
 __all__ = [
-    "BATCH_MODES",
     "Adam",
     "BatchObjective",
     "Cobyla",

@@ -6,18 +6,18 @@ them one after another leaves the compiled engine's batched evaluation on
 the floor: every restart is the *same* objective, so their per-step
 proposals can ride one :meth:`~repro.simulators.compiled.CompiledProgram.energies`
 call. :class:`MultiRestart` wraps any :class:`~repro.optimizers.base.Optimizer`
-and trains a whole population of start points at once — batch-natively in
-lockstep when the base optimizer supports it, serially otherwise — then
-returns the best result with population-wide ``nfev`` accounting.
+and trains a whole population of start points through the base's
+:meth:`~repro.optimizers.base.Optimizer.minimize_batch` — in lockstep when
+the base optimizer is batch-native, through the base class's per-row
+:meth:`~repro.optimizers.base.Optimizer.minimize` fallback otherwise
+(COBYLA) — then returns the best result with population-wide ``nfev``
+accounting.
 
-The two paths are pinned identical point for point (property tests in
-``tests/optimizers/test_batched.py``), so ``batch_mode`` is purely a
-performance knob: the Evaluator sets it from
-:class:`~repro.core.evaluator.EvaluationConfig` (``batch_mode=``, CLI
-``--batch-mode``), and the batched population is exactly the wide
-``energies(X)`` call that a device array backend
-(:mod:`repro.simulators.backends`) accelerates — K restarts' probes ride
-one kernel launch instead of K.
+The lockstep path is pinned to the per-row ``minimize`` loop point for
+point (property tests in ``tests/optimizers/test_batched.py``), and the
+batched population is exactly the wide ``energies(X)`` call that a device
+array backend (:mod:`repro.simulators.backends`) accelerates — K
+restarts' probes ride one kernel launch instead of K.
 
 .. seealso::
 
@@ -26,7 +26,8 @@ one kernel launch instead of K.
        objective implements; :class:`~repro.qaoa.energy.NegatedEnergy`
        is the production instance.
    ``benchmarks/bench_batched_optimizers.py``
-       the CI gate: >=3x batched-vs-serial multi-restart SPSA at K=8.
+       the CI gate: >=3x multi-restart SPSA at K=8 against the per-row
+       ``minimize`` loop.
    ``docs/architecture.md``
        the evaluator layer this meta-optimizer lives in.
 """
@@ -37,15 +38,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.optimizers.base import BatchFn, Objective, Optimizer, OptimizeResult, resolve_batch_fn
+from repro.optimizers.base import BatchFn, Objective, Optimizer, OptimizeResult
 
-__all__ = ["BATCH_MODES", "MultiRestart"]
-
-#: how a restart population is driven: "auto" batches whenever the base
-#: optimizer is batch-native and a batch objective is available, "batched"
-#: always routes through minimize_batch (its serial fallback included),
-#: "serial" forces one minimize call per restart
-BATCH_MODES = ("auto", "batched", "serial")
+__all__ = ["MultiRestart"]
 
 
 class MultiRestart(Optimizer):
@@ -59,24 +54,12 @@ class MultiRestart(Optimizer):
 
     name = "multi_restart"
 
-    def __init__(self, base: Optimizer, batch_mode: str = "auto") -> None:
-        if batch_mode not in BATCH_MODES:
-            raise ValueError(
-                f"unknown batch mode {batch_mode!r}; options: {BATCH_MODES}"
-            )
+    def __init__(self, base: Optimizer) -> None:
         self.base = base
-        self.batch_mode = batch_mode
 
     @property
     def supports_batch(self) -> bool:  # type: ignore[override]
         return self.base.supports_batch
-
-    def _use_batch(self, fn: Objective, batch_fn: BatchFn | None) -> bool:
-        if self.batch_mode == "serial":
-            return False
-        if self.batch_mode == "batched":
-            return True
-        return self.base.supports_batch and resolve_batch_fn(fn, batch_fn) is not None
 
     def minimize_population(
         self,
@@ -88,12 +71,7 @@ class MultiRestart(Optimizer):
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
         if X0.shape[0] == 0:
             raise ValueError("restart population is empty")
-        if self._use_batch(fn, batch_fn):
-            results = self.base.minimize_batch(fn, X0, batch_fn=batch_fn)
-            mode = "batched"
-        else:
-            results = [self.base.minimize(fn, x0) for x0 in X0]
-            mode = "serial"
+        results = self.base.minimize_batch(fn, X0, batch_fn=batch_fn)
         best = min(results, key=lambda r: r.fun)
         return OptimizeResult(
             x=best.x,
@@ -102,7 +80,7 @@ class MultiRestart(Optimizer):
             nit=max(r.nit for r in results),
             converged=best.converged,
             message=(
-                f"best of {len(results)} {mode} restart(s): {best.message}"
+                f"best of {len(results)} restart(s): {best.message}"
             ),
             history=best.history,
             sub_results=results,
@@ -120,10 +98,7 @@ class MultiRestart(Optimizer):
     ) -> list[OptimizeResult]:
         """Delegate to the base optimizer (population-per-row semantics
         collapse to the base's own batch behaviour)."""
-        if self._use_batch(fn, batch_fn):
-            return self.base.minimize_batch(fn, X0, batch_fn=batch_fn)
-        X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-        return [self.base.minimize(fn, x0) for x0 in X0]
+        return self.base.minimize_batch(fn, X0, batch_fn=batch_fn)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MultiRestart({self.base!r}, batch_mode={self.batch_mode!r})"
+        return f"MultiRestart({self.base!r})"

@@ -22,6 +22,11 @@ Evaluator module's inner loop). It supports three engines:
   :class:`repro.qtensor.QTensorSimulator`; scales to wide, shallow
   circuits where the dense state no longer fits.
 
+The scalar entry points (:meth:`AnsatzEnergy.value`,
+:meth:`AnsatzEnergy.gradient`) are batches of one through
+:meth:`~AnsatzEnergy.values` / :meth:`~AnsatzEnergy.gradients`, so every
+evaluation reaches its engine through one path.
+
 Exact gradients come from the two-term parameter-shift rule applied per
 gate occurrence: every parameterized gate in the package generates
 evolution with a single frequency (Pauli-word generators, or projectors for
@@ -93,11 +98,9 @@ class AnsatzEnergy:
     # -- energy -----------------------------------------------------------------
 
     def value(self, x: Sequence[float]) -> float:
-        """``<C>`` at the flat parameter vector ``[gammas..., betas...]``."""
-        if self.engine == "compiled":
-            self.num_evaluations += 1
-            return self.program.energy(x)
-        return self._energy_of_circuit(self.ansatz.bind(list(x)))
+        """``<C>`` at the flat parameter vector ``[gammas..., betas...]``
+        (a batch of one through :meth:`values`)."""
+        return float(self.values(np.reshape(x, (1, -1)))[0])
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.value(x)
@@ -121,13 +124,15 @@ class AnsatzEnergy:
         """``<C>`` for a batch of parameter vectors (rows of ``X``).
 
         The compiled engine pushes the whole batch through its ops with a
-        trailing batch axis; the other engines fall back to a loop.
+        leading batch axis; the other engines bind and simulate row by row.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.engine == "compiled":
             self.num_evaluations += X.shape[0]
             return self.program.energies(X)
-        return np.array([self.value(row) for row in X])
+        return np.array(
+            [self._energy_of_circuit(self.ansatz.bind(list(row))) for row in X]
+        )
 
     def _dense_initial_state(self) -> np.ndarray:
         """|0...0> when the circuit carries its own H column, else |+>^n."""
@@ -168,16 +173,27 @@ class AnsatzEnergy:
     # -- gradient ---------------------------------------------------------------
 
     def gradient(self, x: Sequence[float]) -> np.ndarray:
-        """Exact parameter-shift gradient of :meth:`value` at ``x``.
+        """Exact parameter-shift gradient of :meth:`value` at ``x`` (a
+        batch of one through :meth:`gradients`)."""
+        return self.gradients(np.reshape(x, (1, -1)))[0]
+
+    def gradients(self, X: Sequence[Sequence[float]]) -> np.ndarray:
+        """Parameter-shift gradients for a batch of parameter vectors.
 
         Cost: two energy evaluations per parameterized gate occurrence per
-        parameter it contains — batched into one vectorized pass by the
-        compiled engine, sequential shifted circuits otherwise.
+        row. The compiled engine runs all rows' shifted evaluations
+        through its shared chunked batch passes; the other engines build
+        one shifted circuit per occurrence, row by row.
         """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.engine == "compiled":
-            grad = self.program.gradient(x)
-            self.num_evaluations += 2 * self.program.num_shift_sites
-            return grad
+            grads = self.program.gradients(X)
+            self.num_evaluations += 2 * self.program.num_shift_sites * X.shape[0]
+            return grads
+        return np.stack([self._circuit_gradient(row) for row in X])
+
+    def _circuit_gradient(self, x: np.ndarray) -> np.ndarray:
+        """One row's gradient from per-occurrence shifted circuits."""
         x = list(x)
         params = self.ansatz.parameters
         bindings: dict[Parameter, float] = dict(zip(params, x))
@@ -217,20 +233,6 @@ class AnsatzEnergy:
             else:
                 shifted.append(instr.gate, instr.qubits)
         return self._energy_of_circuit(shifted.bind_parameters(bindings))
-
-    def gradients(self, X: Sequence[Sequence[float]]) -> np.ndarray:
-        """Parameter-shift gradients for a batch of parameter vectors.
-
-        The compiled engine runs all rows' shifted evaluations through the
-        shared chunked batch passes; the other engines loop
-        :meth:`gradient` per row.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.engine == "compiled":
-            grads = self.program.gradients(X)
-            self.num_evaluations += 2 * self.program.num_shift_sites * X.shape[0]
-            return grads
-        return np.stack([self.gradient(row) for row in X])
 
     def value_and_gradient(self, x: Sequence[float]):
         """Convenience for gradient-based optimizers."""

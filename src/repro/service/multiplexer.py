@@ -192,6 +192,10 @@ class SweepMultiplexer:
         self._stride = _TenantStride(dict(tenant_weights or {}))
         self._stop = threading.Event()
         self._state_lock = threading.Lock()
+        #: serializes _claim: the per-tenant running-count check and the
+        #: claim it gates must be one step, or two slots can both see a
+        #: tenant under its cap and both claim
+        self._claim_lock = threading.Lock()
         self._slots: list[_Slot] = []
         #: job id -> its sweep's progress tracker (kept after the job
         #: leaves this process, bounded by PROGRESS_KEEP)
@@ -326,23 +330,27 @@ class SweepMultiplexer:
         """One fair claim attempt: pick a tenant by weighted stride over
         those with claimable work (quota-eligible), then claim its best
         job."""
-        tenants = self._queue_op(self.queue.claimable_tenants)
-        if not tenants:
-            return None
-        if self.max_running_per_tenant is not None:
-            by_tenant = self._queue_op(self.queue.counts_by_tenant)
-            tenants = [
-                t
-                for t in tenants
-                if by_tenant.get(t, {}).get("running", 0) < self.max_running_per_tenant
-            ]
+        with self._claim_lock:
+            tenants = self._queue_op(self.queue.claimable_tenants)
             if not tenants:
                 return None
-        with self._state_lock:
-            tenant = self._stride.pick(tenants)
-        # The claim can still miss (a sibling slot won the race, or the
-        # tenant's only job was backing off); the loop just polls again.
-        return self._queue_op(self.queue.claim_next, owner=slot.name, tenant=tenant)
+            if self.max_running_per_tenant is not None:
+                by_tenant = self._queue_op(self.queue.counts_by_tenant)
+                tenants = [
+                    t
+                    for t in tenants
+                    if by_tenant.get(t, {}).get("running", 0)
+                    < self.max_running_per_tenant
+                ]
+                if not tenants:
+                    return None
+            with self._state_lock:
+                tenant = self._stride.pick(tenants)
+            # The claim can still miss (another process won the race, or
+            # the tenant's only job was backing off); the loop polls again.
+            return self._queue_op(
+                self.queue.claim_next, owner=slot.name, tenant=tenant
+            )
 
     def _run_job(self, slot: _Slot, job: JobRecord) -> None:
         token = CancellationToken()

@@ -162,12 +162,11 @@ class NumpyArrayBackend(ArrayBackend):
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """Analytic accelerator cost model (order-of-magnitude A100 values).
-
-    The same shape as ``repro.qtensor.backends.mock_gpu.DeviceModel`` —
+    """Analytic accelerator cost model (order-of-magnitude A100 values):
     host↔device transfers at PCIe bandwidth, a fixed kernel-launch
-    latency, and elementwise work at a device rate — redeclared here so
-    the simulators layer stays import-cycle-free of :mod:`repro.qtensor`.
+    latency, and elementwise work at a device rate. Shared by both mock
+    devices — this backend and :mod:`repro.qtensor.backends.mock_gpu`,
+    which prices each einsum's operation count as its elements.
     """
 
     #: host<->device bandwidth, bytes/second (PCIe 4.0 x16 ~ 2.5e10)

@@ -26,13 +26,13 @@ circuit into a :class:`CompiledProgram`, a flat list of three op kinds:
   at compile time; a complete leading Hadamard column is folded into the
   ``|+>^n`` initial state outright.
 
-``CompiledProgram.energy(x)`` therefore runs the whole optimizer step with
-zero circuit rebuilds, zero dict bindings, and zero matrix
-re-materialization. ``energies(X)`` evaluates a batch of parameter vectors
-through the same ops with a trailing batch axis, and ``gradient(x)``
-implements the exact two-term parameter-shift rule by injecting per-column
-shifts into a single batched run instead of reconstructing shifted
-circuits per gate occurrence.
+``CompiledProgram.energies(X)`` therefore runs a whole batch of optimizer
+points with zero circuit rebuilds, zero dict bindings, and zero matrix
+re-materialization, through one state-evolution routine with a leading
+batch axis; ``energy(x)`` and ``state(x)`` are batches of one through it.
+``gradients(X)`` implements the exact two-term parameter-shift rule by
+injecting per-row shifts into the same batched run instead of
+reconstructing shifted circuits per gate occurrence.
 
 The array library itself is a knob: every array the program allocates is
 born under an :class:`~repro.simulators.backends.ArrayBackend` (NumPy by
@@ -99,19 +99,6 @@ def _lower_expr(value, index: dict[Parameter, int]) -> _Expr:
     return (), float(value)
 
 
-def _eval_expr(expr: _Expr, x: np.ndarray) -> float:
-    terms, offset = expr
-    return offset + sum(coeff * x[j] for j, coeff in terms)
-
-
-def _eval_expr_batch(expr: _Expr, X: np.ndarray) -> np.ndarray:
-    terms, offset = expr
-    out = np.full(X.shape[0], offset)
-    for j, coeff in terms:
-        out += coeff * X[:, j]
-    return out
-
-
 def _expand_diag(small: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
     """Lift a ``2^m`` per-gate vector to the full ``2^n`` basis."""
     bits = bit_table(num_qubits)
@@ -171,6 +158,10 @@ class _MatrixColumn:
     factors: tuple[_Factor, ...]
     #: precomputed product when no factor has free parameters
     static_matrix: np.ndarray | None
+    #: the factors' angle expressions as one affine map: the angle rows of
+    #: a ``(B, num_parameters)`` batch are ``X @ angle_map + angle_offset``
+    angle_map: np.ndarray
+    angle_offset: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -263,11 +254,55 @@ def _batch_mat_ry(angles: np.ndarray) -> np.ndarray:
 _BATCH_MATRIX_FNS = {"rx": _batch_mat_rx, "ry": _batch_mat_ry}
 
 
-def _kron_pairs(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+def _kron_pairs(hi, lo, backend: ArrayBackend):
     """Per-point ``kron(hi, lo)``: ``(B, d, d)`` x ``(B, e, e)`` stacks
-    -> ``(B, d*e, d*e)``."""
+    -> ``(B, d*e, d*e)``, computed under ``backend``."""
     dim = hi.shape[1] * lo.shape[1]
-    return np.einsum("bij,bkl->bikjl", hi, lo).reshape(hi.shape[0], dim, dim)
+    return backend.einsum("bij,bkl->bikjl", hi, lo).reshape(hi.shape[0], dim, dim)
+
+
+def _kron_power(memo: dict, size: int, backend: ArrayBackend):
+    """``kron`` of ``size`` copies of the ``(B, 2, 2)`` stack ``memo[1]``
+    (``size`` a power of two), memoized in ``memo`` by size."""
+    stack = memo.get(size)
+    if stack is None:
+        half = _kron_power(memo, size // 2, backend)
+        memo[size] = stack = _kron_pairs(half, half, backend)
+    return stack
+
+
+def _group_sizes(num_qubits: int) -> list[int]:
+    """Qubit group sizes for :func:`_rotate_groups`: 4s, then a 2, then
+    a 1, summing to ``num_qubits``."""
+    sizes = [4] * (num_qubits // 4)
+    remaining = num_qubits % 4
+    if remaining >= 2:
+        sizes.append(2)
+    if remaining % 2:
+        sizes.append(1)
+    return sizes
+
+
+def _rotate_groups(state, groups: Sequence) -> np.ndarray:
+    """Apply one 2x2 per qubit to every qubit of a batch-major ``(B, 2^n)``
+    state, ``groups`` holding the transposed kron'd ``(B or 1, 2^g, 2^g)``
+    matrix of each :func:`_group_sizes` group, top qubits first.
+
+    Each round exposes the next group of original qubits as the leading
+    basis bits of every row; right-multiplying the ``(B, 2^{n-g}, 2^g)``
+    view by the group matrix cycles the axis order left by g, so once the
+    group sizes sum to n every qubit has been hit once and the layout is
+    back where it started. Grouping (4s, then a 2, then a 1) cuts gemm
+    dispatches and fattens their inner dimension — measurably faster than
+    per-qubit or per-pair rounds.
+    """
+    batch = state.shape[0]
+    for group_T in groups:
+        dim = group_T.shape[-1]
+        state = (
+            state.reshape(batch, dim, -1).transpose(0, 2, 1) @ group_T
+        ).reshape(batch, -1)
+    return state
 
 
 def _apply_1q_per_column(
@@ -377,6 +412,10 @@ class CompiledProgram:
         # for the +-pi/2 gradient shifts.
         self._diag_lookups: dict[int, tuple] = {}
         self._atom_shift_phases: dict[tuple, np.ndarray] = {}
+        self._initial_host: np.ndarray | None = None
+        # Transposed kron'd group matrices of full static columns (see
+        # _rotate_groups), built on the device once per op.
+        self._static_groups: dict[int, list] = {}
 
     # -- introspection -----------------------------------------------------
 
@@ -391,7 +430,7 @@ class CompiledProgram:
         gradient, matching the dense engine's accounting)."""
         return len(self.shift_sites)
 
-    # -- single evaluation -------------------------------------------------
+    # -- device constants --------------------------------------------------
 
     def _dev(self, host: np.ndarray):
         """Device-resident view of a *persistent* host constant.
@@ -411,14 +450,19 @@ class CompiledProgram:
         return dev
 
     def _initial_state(self):
-        """A fresh device-resident initial state (safe to mutate)."""
-        if self.initial_state_label == "+":
-            return self.backend.asarray(plus_state(self.num_qubits))
-        if self.initial_state_label == "0":
-            return self.backend.asarray(zero_state(self.num_qubits))
-        raise ValueError(
-            f"unknown initial state label {self.initial_state_label!r}"
-        )
+        """The device-resident initial state, uploaded once through
+        :meth:`_dev` (read-only: :meth:`_states_batch` copies it into
+        every batch row)."""
+        if self._initial_host is None:
+            if self.initial_state_label == "+":
+                self._initial_host = plus_state(self.num_qubits)
+            elif self.initial_state_label == "0":
+                self._initial_host = zero_state(self.num_qubits)
+            else:
+                raise ValueError(
+                    f"unknown initial state label {self.initial_state_label!r}"
+                )
+        return self._dev(self._initial_host)
 
     def _atom_vector(self, atom: _DiagAtom) -> np.ndarray:
         key = (atom.h_small, atom.qubits)
@@ -473,85 +517,27 @@ class CompiledProgram:
             self._diag_lookups[op_index] = cached
         return cached
 
-    def _check_x(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.num_parameters:
+    # -- evaluation: every entry point runs a batch -----------------------
+
+    def _check_batch(self, X) -> np.ndarray:
+        """``X`` as a float ``(B, num_parameters)`` batch, or ValueError."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.num_parameters:
             raise ValueError(
-                f"expected {self.num_parameters} parameters, got {x.shape[0]}"
+                f"expected {self.num_parameters} parameters per row, "
+                f"got shape {X.shape}"
             )
-        return x
+        return X
 
     def state(self, x: Sequence[float]) -> np.ndarray:
         """The final statevector at the flat parameter vector ``x``, as a
-        host array.
-
-        (Shifted evaluations for the gradient's parameter-shift rule go
-        through the batched :meth:`states` path, which injects shifts per
-        column — there is deliberately no single-state shift variant.)
-        """
-        return self.backend.to_host(self._state_device(self._check_x(x)))
-
-    def _state_device(self, x: np.ndarray):
-        """:meth:`state` without the final device→host crossing; ``x`` is
-        an already-validated host vector."""
-        backend = self.backend
-        xp = backend.xp
-        state = self._initial_state()
-        n = self.num_qubits
-        for op in self.ops:
-            if isinstance(op, _DiagBlock):
-                if op.static_phase is not None:
-                    state = backend.multiply(
-                        state, self._dev(op.static_phase), out=state
-                    )
-                    continue
-                exponent = xp.dot(
-                    backend.asarray(x[op.param_indices]), self._dev(op.gens)
-                )
-                if op.gen_const is not None:
-                    exponent = exponent + self._dev(op.gen_const)
-                state = backend.multiply(state, backend.exp(1j * exponent), out=state)
-            else:
-                if op.static_matrix is not None:
-                    matrix = self._dev(op.static_matrix)
-                else:
-                    matrix = backend.asarray(self._column_matrix(op, x))
-                if len(op.targets) == n and len(op.targets[0]) == 1:
-                    # The column covers every qubit with one shared 2x2 (the
-                    # weight-shared mixer case): rotate the leading qubit
-                    # axis through a small gemm n times. Each product takes
-                    # (2, 2^{n-1}) -> (2^{n-1}, 2), cycling the axis order
-                    # left, so after n rounds every qubit has been hit once
-                    # and the layout is back where it started — one BLAS
-                    # call per qubit instead of eight strided ufunc sweeps.
-                    transposed = matrix.T
-                    for _ in range(n):
-                        state = state.reshape(2, -1).T @ transposed
-                    state = state.reshape(-1)
-                    continue
-                for target in op.targets:
-                    if len(target) == 1:
-                        state = _apply_1q(state, matrix, target[0], backend)
-                    else:
-                        state = _contract(state, matrix, target, n, backend)
-        return state
-
-    def _column_matrix(self, op: _MatrixColumn, x: np.ndarray) -> np.ndarray:
-        if op.static_matrix is not None:
-            return op.static_matrix
-        matrix = None
-        for factor in op.factors:
-            values = [_eval_expr(e, x) for e in factor.exprs]
-            factor_matrix = factor.matrix_fn(values)
-            matrix = factor_matrix if matrix is None else factor_matrix @ matrix
-        return matrix
+        host array (a batch of one through :meth:`states`)."""
+        return self.states(np.reshape(x, (1, -1)))[:, 0]
 
     def energy(self, x: Sequence[float]) -> float:
-        """``<C>`` of the attached graph at ``x``."""
-        state = self._state_device(self._check_x(x))
-        probs = state.real**2 + state.imag**2
-        value = self.backend.xp.dot(probs, self._dev(self._cut_table()))
-        return float(self.backend.to_host(value))
+        """``<C>`` of the attached graph at ``x`` (a batch of one through
+        :meth:`energies`)."""
+        return float(self.energies(np.reshape(x, (1, -1)))[0])
 
     def _cut_table(self) -> np.ndarray:
         if self._cut is None:
@@ -560,19 +546,11 @@ class CompiledProgram:
             )
         return self._cut
 
-    # -- batched evaluation ------------------------------------------------
-
-    def states(
-        self,
-        X: np.ndarray,
-        _shifts: Sequence[tuple[_ShiftSite, float] | None] | None = None,
-    ) -> np.ndarray:
+    def states(self, X: np.ndarray) -> np.ndarray:
         """Final statevectors of a ``(B, num_parameters)`` batch, as
         ``(2^n, B)`` host columns."""
         xp = self.backend.xp
-        return self.backend.to_host(
-            xp.ascontiguousarray(self._states_batch(X, _shifts).T)
-        )
+        return self.backend.to_host(xp.ascontiguousarray(self._states_batch(X).T))
 
     def _states_batch(
         self,
@@ -580,7 +558,9 @@ class CompiledProgram:
         shifts: Sequence[tuple[_ShiftSite, float] | None] | None = None,
     ) -> np.ndarray:
         """Batch-major final statevectors: row ``b`` is the state at
-        ``X[b]``. The batch axis leads so every per-point quantity (diag
+        ``X[b]``. This is the program's only state-evolution routine —
+        every entry point, the scalar ones as batches of one, runs
+        through it. The batch axis leads so every per-point quantity (diag
         exponents, probabilities, cut energies) stays row-contiguous and
         the per-column matrix applies reduce to stacked gemms.
 
@@ -588,12 +568,7 @@ class CompiledProgram:
         are host bookkeeping) and is uploaded once as ``Xd``; the state
         and every per-basis-state quantity live on the array backend.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.num_parameters:
-            raise ValueError(
-                f"expected batch of {self.num_parameters}-parameter rows, "
-                f"got shape {X.shape}"
-            )
+        X = self._check_batch(X)
         batch = X.shape[0]
         by_op: dict[int, list[tuple[int, _ShiftSite, float]]] = {}
         if shifts is not None:
@@ -645,7 +620,7 @@ class CompiledProgram:
                 # gradient batches tile one x across 2*sites rows, so
                 # matrix columns dedup their angle rows before building
                 state = self._apply_column_batch(
-                    op, state, X, shifts_here, dedup=shifts is not None
+                    op_index, op, state, X, shifts_here, dedup=shifts is not None
                 )
         return state
 
@@ -663,15 +638,7 @@ class CompiledProgram:
         handful of distinct combinations), pure overhead on optimizer
         batches whose rows are all distinct.
         """
-        batch = X.shape[0]
-        angle_rows = np.stack(
-            [
-                _eval_expr_batch(expr, X)
-                for factor in op.factors
-                for expr in factor.exprs
-            ],
-            axis=1,
-        ) if any(factor.exprs for factor in op.factors) else np.zeros((batch, 0))
+        angle_rows = X @ op.angle_map + op.angle_offset
         if dedup:
             unique_rows, inverse = np.unique(
                 angle_rows, axis=0, return_inverse=True
@@ -711,6 +678,7 @@ class CompiledProgram:
 
     def _apply_column_batch(
         self,
+        op_index: int,
         op: _MatrixColumn,
         state: np.ndarray,
         X: np.ndarray,
@@ -728,7 +696,17 @@ class CompiledProgram:
         batch = state.shape[0]
         backend = self.backend
         xp = backend.xp
-        if op.static_matrix is not None and not shifts_here:
+        full_column = len(op.targets) == n and len(op.targets[0]) == 1
+        if op.static_matrix is not None:
+            # parameter-free, so never shifted
+            if full_column:
+                groups = self._static_groups.get(op_index)
+                if groups is None:
+                    static_T = np.ascontiguousarray(op.static_matrix.T)[None]
+                    memo = {1: backend.asarray(static_T)}
+                    groups = [_kron_power(memo, size, backend) for size in _group_sizes(n)]
+                    self._static_groups[op_index] = groups
+                return _rotate_groups(state, groups)
             static_dev = self._dev(op.static_matrix)
             for target in op.targets:
                 if len(target) == 1:
@@ -745,86 +723,44 @@ class CompiledProgram:
 
         base_stack, angle_rows = self._column_matrices(op, X, dedup)
 
-        if len(op.targets) == n and len(op.targets[0]) == 1:
-            # The column covers every qubit with per-point 2x2 chains (the
-            # weight-shared mixer case): run the scalar engine's rotating
-            # trick as stacked gemms over qubit *groups*. Each round
-            # exposes the next group of original qubits as the leading
-            # basis bits of every row; right-multiplying the
-            # (B, 2^{n-g}, 2^g) view by the per-point kron'd (B, 2^g, 2^g)
-            # stack cycles the axis order left by g, so once the group
-            # sizes sum to n every qubit has been hit once and the layout
-            # is back where it started. Grouping (4s, then a 2, then a 1)
-            # cuts gemm dispatches and fattens their inner dimension —
-            # measurably faster than per-qubit or per-pair rounds.
-            shifts_by_target: dict[int, list[tuple[int, _ShiftSite, float]]] = {}
+        if full_column:
+            shifts_by_qubit: dict[int, list[tuple[int, _ShiftSite, float]]] = {}
             for column, site, s in shifts_here:
-                shifts_by_target.setdefault(site.target, []).append(
+                shifts_by_qubit.setdefault(op.targets[site.target][0], []).append(
                     (column, site, s)
                 )
-            qubit_to_target = {
-                target[0]: t_index for t_index, target in enumerate(op.targets)
-            }
 
-            def qubit_stack(qubit: int) -> np.ndarray:
-                shifted = shifts_by_target.get(qubit_to_target[qubit], ())
+            # Only the (B, 2, 2) chain stacks cross to the device, and
+            # transposed: the kron of transposes is the transposed kron,
+            # so the group stacks built there from them are already the
+            # right-hand factors _rotate_groups multiplies by.
+            base_T = np.ascontiguousarray(base_stack.transpose(0, 2, 1))
+            memo = {1: backend.asarray(base_T)}
+
+            def qubit_stack_T(qubit: int):
+                shifted = shifts_by_qubit.get(qubit, ())
                 if not shifted:
-                    return base_stack
-                stack = base_stack.copy()
+                    return memo[1]
+                stack = base_T.copy()
                 for column, site, s in shifted:
                     stack[column] = self._chain_matrix(
                         op, angle_rows[column], shift_factor=site.factor, shift=s
-                    )
-                return stack
+                    ).T
+                return backend.asarray(stack)
 
-            group_sizes: list[int] = []
-            remaining = n
-            while remaining >= 4:
-                group_sizes.append(4)
-                remaining -= 4
-            if remaining >= 2:
-                group_sizes.append(2)
-                remaining -= 2
-            if remaining:
-                group_sizes.append(1)
-
-            shared: dict[int, np.ndarray] = {1: base_stack}
-            shared_T: dict[int, np.ndarray] = {}
-
-            def shared_group(size: int) -> np.ndarray:
-                stack = shared.get(size)
-                if stack is None:
-                    half = shared_group(size // 2)
-                    shared[size] = stack = _kron_pairs(half, half)
-                return stack
-
+            groups = []
             top = n - 1
-            for size in group_sizes:
+            for size in _group_sizes(n):
                 qubits = [top - j for j in range(size)]
                 top -= size
-                if all(
-                    not shifts_by_target.get(qubit_to_target[q]) for q in qubits
-                ):
-                    group_T = shared_T.get(size)
-                    if group_T is None:
-                        group_T = backend.asarray(
-                            np.ascontiguousarray(
-                                shared_group(size).transpose(0, 2, 1)
-                            )
-                        )
-                        shared_T[size] = group_T
-                else:
-                    group = qubit_stack(qubits[0])
+                if any(q in shifts_by_qubit for q in qubits):
+                    group = qubit_stack_T(qubits[0])
                     for qubit in qubits[1:]:
-                        group = _kron_pairs(group, qubit_stack(qubit))
-                    group_T = backend.asarray(
-                        np.ascontiguousarray(group.transpose(0, 2, 1))
-                    )
-                dim = 1 << size
-                state = (
-                    state.reshape(batch, dim, -1).transpose(0, 2, 1) @ group_T
-                ).reshape(batch, -1)
-            return state
+                        group = _kron_pairs(group, qubit_stack_T(qubit), backend)
+                    groups.append(group)
+                else:
+                    groups.append(_kron_power(memo, size, backend))
+            return _rotate_groups(state, groups)
 
         # General fallback (multi-qubit targets, partial columns): the
         # trailing-batch kernels on a transposed view. Matrix stacks are
@@ -880,16 +816,13 @@ class CompiledProgram:
         return self._cut_energies(self._states_batch(X))
 
     def _cut_energies(self, states) -> np.ndarray:
-        """Row-wise ``sum_z |amp|^2 cut(z)`` without materializing the
-        probability matrix (two single-pass contractions on the backend;
-        only the ``(B,)`` energy vector crosses back to the host)."""
-        cut = self._dev(self._cut_table())
-        values = self.backend.einsum(
-            "bz,bz,z->b", states.real, states.real, cut
-        ) + self.backend.einsum(
-            "bz,bz,z->b", states.imag, states.imag, cut
-        )
-        return self.backend.to_host(values)
+        """Row-wise ``sum_z |amp|^2 cut(z)`` on the backend; only the
+        ``(B,)`` energy vector crosses back to the host. Each probability
+        is formed before the weighted sum, so a parameter-independent
+        distribution (an all-diagonal circuit) scores the same energy at
+        every point instead of round-off noise an optimizer would chase."""
+        probs = states.real**2 + states.imag**2
+        return self.backend.to_host(probs @ self._dev(self._cut_table()))
 
     # -- gradient ----------------------------------------------------------
 
@@ -900,23 +833,18 @@ class CompiledProgram:
         pass (chunked to bound memory) with the shift injected into the
         relevant op, instead of rebuilding a shifted circuit per site.
         """
-        return self.gradients(self._check_x(x)[None, :])[0]
+        return self.gradients(np.reshape(x, (1, -1)))[0]
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
         """Parameter-shift gradients for every row of a ``(B,
         num_parameters)`` batch, as ``(B, num_parameters)``.
 
         The ``B * 2 * num_shift_sites`` shifted evaluations of the whole
-        batch share the chunked :meth:`energies_shifted` passes — the seam
+        batch share chunked passes of the state evolution — the seam
         batch-native gradient optimizers (Adam over a restart population)
         ride instead of looping per-point :meth:`gradient` calls.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.num_parameters:
-            raise ValueError(
-                f"expected batch of {self.num_parameters}-parameter rows, "
-                f"got shape {X.shape}"
-            )
+        X = self._check_batch(X)
         batch = X.shape[0]
         grads = np.zeros((batch, self.num_parameters))
         sites = self.shift_sites
@@ -937,20 +865,16 @@ class CompiledProgram:
         chunk = max(1, (1 << 22) >> self.num_qubits)
         for start in range(0, total, chunk):
             rows = np.arange(start, min(start + chunk, total))
-            energies[rows] = self.energies_shifted(
+            shifted = self._states_batch(
                 X[rows // per_point], [specs[r % per_point] for r in rows]
             )
+            energies[rows] = self._cut_energies(shifted)
         paired = energies.reshape(batch, len(sites), 2)
         for k, site in enumerate(sites):
             site_grad = (paired[:, k, 0] - paired[:, k, 1]) / 2.0
             for j, coeff in site.coeffs:
                 grads[:, j] += coeff * site_grad
         return grads
-
-    def energies_shifted(
-        self, X: np.ndarray, shifts: Sequence[tuple[_ShiftSite, float] | None]
-    ) -> np.ndarray:
-        return self._cut_energies(self._states_batch(X, shifts))
 
 
 # -- the compile pass ------------------------------------------------------
@@ -1093,8 +1017,19 @@ def compile_circuit(
                 factor_matrix = factor.matrix_fn(values)
                 matrix = factor_matrix if matrix is None else factor_matrix @ matrix
             static_matrix = matrix
+        exprs = [expr for factor in factors for expr in factor.exprs]
+        angle_map = np.zeros((len(parameters), len(exprs)))
+        for column, (terms, _) in enumerate(exprs):
+            for j, coeff in terms:
+                angle_map[j, column] = coeff
         ops.append(
-            _MatrixColumn(targets=targets, factors=factors, static_matrix=static_matrix)
+            _MatrixColumn(
+                targets=targets,
+                factors=factors,
+                static_matrix=static_matrix,
+                angle_map=angle_map,
+                angle_offset=np.array([offset for _, offset in exprs], dtype=float),
+            )
         )
         for t_index in range(len(targets)):
             for f_index, factor in enumerate(factors):

@@ -2,8 +2,13 @@
 import pytest
 
 from repro.core.depth_sweep import noisy_score, warm_started_sweep
+from repro.core.qbuilder import QBuilder
 from repro.graphs.generators import cycle_graph, erdos_renyi_graph
+from repro.optimizers import training_optimizer
+from repro.qaoa.energy import AnsatzEnergy
+from repro.qaoa.initialization import ramp_init
 from repro.simulators.noise import NoiseModel, depolarizing_channel
+from repro.utils.rng import as_rng, stable_seed
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +52,25 @@ class TestWarmStartedSweep:
     def test_batched_spsa_sweep_monotone(self, graph):
         points = warm_started_sweep(
             graph, ("rx",), 3, max_steps=40, seed=1,
-            restarts=4, optimizer="spsa", batch_mode="batched",
+            restarts=4, optimizer="spsa",
         )
         energies = [pt.energy for pt in points]
         assert all(b >= a - 1e-9 for a, b in zip(energies, energies[1:]))
+        # depth 1 has no warm-start fallback: its point is the population's
+        # best, which must match the per-row loop over the same start points
+        energy = AnsatzEnergy(QBuilder().build_qaoa(graph, ("rx",), 1))
+        negated = energy.negative_objective()
+        X0 = [ramp_init(1, rng=as_rng(stable_seed(1, "sweep", 1, "rx")), jitter=0.05)]
+        X0 += [
+            ramp_init(1, rng=as_rng(stable_seed(1, "sweep", 1, r, "rx")), jitter=0.05)
+            for r in range(1, 4)
+        ]
+        base = training_optimizer("spsa", max_steps=40, seed=1)
+        reference = [base.minimize(negated, x0) for x0 in X0]
+        assert points[0].nfev == sum(r.nfev for r in reference)
+        assert points[0].energy == pytest.approx(
+            -min(r.fun for r in reference), abs=1e-8
+        )
 
     def test_unknown_optimizer_rejected(self, graph):
         with pytest.raises(ValueError, match="unknown sweep optimizer"):

@@ -164,48 +164,56 @@ class TestOptimizerChoices:
         assert tn.energy == pytest.approx(sv.energy, abs=0.05)
 
 
-class TestBatchMode:
-    def test_unknown_batch_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown batch mode"):
-            EvaluationConfig(batch_mode="turbo")
+def per_row_reference(graphs, config, tokens, p):
+    """The restart population trained as the plain per-row loop
+    ``[base.minimize(fn, x0) for x0 in X0]`` on every graph: (mean best
+    energy, total nfev) — what :class:`MultiRestart` must reproduce."""
+    from repro.core.evaluator import _make_optimizer
+    from repro.core.qbuilder import QBuilder
+    from repro.qaoa.energy import AnsatzEnergy
 
+    evaluator = Evaluator(graphs, config)
+    energies, nfev = [], 0
+    for graph_index, graph in enumerate(graphs):
+        ansatz = QBuilder().build_qaoa(graph, tokens, p)
+        energy = AnsatzEnergy(ansatz)
+        X0 = evaluator._initial_points(ansatz.num_parameters, graph_index, p, tokens)
+        base = _make_optimizer(config, energy)
+        negated = energy.negative_objective()
+        results = [base.minimize(negated, x0) for x0 in X0]
+        energies.append(-min(r.fun for r in results))
+        nfev += sum(r.nfev for r in results)
+    return float(np.mean(energies)), nfev
+
+
+class TestRestartPopulation:
     @pytest.mark.parametrize("name", ["spsa", "nelder_mead"])
     def test_batched_matches_serial_restarts(self, graphs, name):
         """The population path and the per-restart loop train the same
         trajectories (engine round-off aside): same minima, and — for
         SPSA, whose eval budget is value-independent — the same count.
-        (Nelder-Mead's branches compare energies from two numerically
-        different kernels, so a 1-ulp tie may flip its eval count.)"""
-        kwargs = dict(optimizer=name, max_steps=14, restarts=3, seed=9)
-        batched = Evaluator(
-            graphs, EvaluationConfig(batch_mode="batched", **kwargs)
-        ).evaluate(("rx",), 1)
-        serial = Evaluator(
-            graphs, EvaluationConfig(batch_mode="serial", **kwargs)
-        ).evaluate(("rx",), 1)
+        (Nelder-Mead's branches compare energies computed at different
+        batch widths, so a 1-ulp tie may flip its eval count.)"""
+        config = EvaluationConfig(optimizer=name, max_steps=14, restarts=3, seed=9)
+        batched = Evaluator(graphs, config).evaluate(("rx",), 1)
+        energy, nfev = per_row_reference(graphs, config, ("rx",), 1)
         if name == "spsa":
-            assert batched.nfev == serial.nfev
-        assert batched.energy == pytest.approx(serial.energy, abs=1e-8)
+            assert batched.nfev == nfev
+        assert batched.energy == pytest.approx(energy, abs=1e-8)
 
     def test_adam_batched_restarts(self, graphs):
-        config = EvaluationConfig(
-            optimizer="adam", max_steps=6, restarts=2, seed=4, batch_mode="batched"
-        )
+        config = EvaluationConfig(optimizer="adam", max_steps=6, restarts=2, seed=4)
         result = Evaluator(graphs, config).evaluate(("rx",), 1)
         assert result.energy > 0
 
-    def test_auto_mode_default_unchanged_for_cobyla(self, graphs):
-        """COBYLA has no batch path; auto must reproduce the historical
-        serial restart loop exactly."""
-        auto = Evaluator(
-            graphs, EvaluationConfig(max_steps=12, restarts=2, seed=3)
-        ).evaluate(("rx",), 1)
-        serial = Evaluator(
-            graphs,
-            EvaluationConfig(max_steps=12, restarts=2, seed=3, batch_mode="serial"),
-        ).evaluate(("rx",), 1)
-        assert auto.energy == serial.energy
-        assert auto.nfev == serial.nfev
+    def test_cobyla_default_is_the_per_row_loop(self, graphs):
+        """COBYLA has no batch path; its population must reproduce the
+        per-restart loop exactly."""
+        config = EvaluationConfig(max_steps=12, restarts=2, seed=3)
+        population = Evaluator(graphs, config).evaluate(("rx",), 1)
+        energy, nfev = per_row_reference(graphs, config, ("rx",), 1)
+        assert population.energy == energy
+        assert population.nfev == nfev
 
 
 class TestConfigFingerprint:
@@ -215,13 +223,6 @@ class TestConfigFingerprint:
         base = EvaluationConfig(max_steps=10, restarts=1)
         more = EvaluationConfig(max_steps=10, restarts=3)
         assert config_fingerprint(base) != config_fingerprint(more)
-
-    def test_batch_mode_changes_cache_fingerprint(self):
-        from repro.core.cache import config_fingerprint
-
-        auto = EvaluationConfig(max_steps=10)
-        serial = EvaluationConfig(max_steps=10, batch_mode="serial")
-        assert config_fingerprint(auto) != config_fingerprint(serial)
 
 
 class TestWorkerFunction:

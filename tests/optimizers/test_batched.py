@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.graphs.generators import cycle_graph
 from repro.optimizers import (
-    BATCH_MODES,
     SPSA,
     Adam,
     BatchObjective,
@@ -217,21 +216,23 @@ class TestMultiRestart:
         assert result.fun == min(r.fun for r in result.sub_results)
         assert result.nfev == sum(r.nfev for r in result.sub_results)
 
-    @pytest.mark.parametrize("mode", BATCH_MODES)
-    def test_modes_agree_on_exact_objective(self, mode):
+    @pytest.mark.parametrize("batch_fn", [quadratic_batch, None])
+    @pytest.mark.parametrize(
+        "base",
+        [SPSA(maxiter=25, seed=7), Cobyla(maxiter=40)],
+        ids=["spsa", "cobyla"],
+    )
+    def test_population_matches_per_row_loop(self, base, batch_fn):
         X0 = np.array([[3.0, 3.0], [0.0, 0.0], [-1.0, 2.0]])
-        meta = MultiRestart(SPSA(maxiter=25, seed=7), batch_mode=mode)
-        result = meta.minimize_population(quadratic, X0, batch_fn=quadratic_batch)
-        reference = MultiRestart(
-            SPSA(maxiter=25, seed=7), batch_mode="serial"
-        ).minimize_population(quadratic, X0)
-        assert result.fun == reference.fun
-        assert result.nfev == reference.nfev
-        np.testing.assert_array_equal(result.x, reference.x)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown batch mode"):
-            MultiRestart(SPSA(), batch_mode="turbo")
+        result = MultiRestart(base).minimize_population(
+            quadratic, X0, batch_fn=batch_fn
+        )
+        reference = [base.minimize(quadratic, x0) for x0 in X0]
+        assert [r.fun for r in result.sub_results] == [r.fun for r in reference]
+        assert result.fun == min(r.fun for r in reference)
+        assert result.nfev == sum(r.nfev for r in reference)
+        best = min(reference, key=lambda r: r.fun)
+        np.testing.assert_array_equal(result.x, best.x)
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -260,18 +261,17 @@ class TestOnCompiledEnergy:
         return energy.negative_objective()
 
     def test_spsa_batched_close_to_serial(self, negated):
-        # The batched engine path evaluates through states(X) instead of
-        # per-point state(x); trajectories agree to float round-off, so
-        # minima match to tight (not bitwise) tolerance.
+        # The population evaluates K rows per energies(X) call, the
+        # per-row loop batches of one; trajectories agree to float
+        # round-off, so minima match to tight (not bitwise) tolerance.
         X0 = np.random.default_rng(2).uniform(-0.5, 0.5, (4, 4))
-        batched = MultiRestart(
-            SPSA(maxiter=30, seed=1), batch_mode="batched"
-        ).minimize_population(negated, X0, batch_fn=negated.values)
-        serial = MultiRestart(
-            SPSA(maxiter=30, seed=1), batch_mode="serial"
-        ).minimize_population(negated, X0)
-        assert batched.nfev == serial.nfev
-        assert batched.fun == pytest.approx(serial.fun, abs=1e-8)
+        base = SPSA(maxiter=30, seed=1)
+        batched = MultiRestart(base).minimize_population(
+            negated, X0, batch_fn=negated.values
+        )
+        serial = [base.minimize(negated, x0) for x0 in X0]
+        assert batched.nfev == sum(r.nfev for r in serial)
+        assert batched.fun == pytest.approx(min(r.fun for r in serial), abs=1e-8)
 
     def test_adam_rides_batched_parameter_shift(self, negated):
         X0 = np.random.default_rng(3).uniform(-0.5, 0.5, (3, 4))

@@ -296,14 +296,15 @@ def test_named_ops_are_routed_through_the_backend(er6):
 
 def test_contraction_ops_routed_for_multiqubit_columns():
     """Non-diagonal multi-qubit gates exercise the tensordot/moveaxis
-    kernels; those must route through the backend too."""
+    kernels (static gates) and the per-column einsum kernel (parameterized
+    gates); those must route through the backend too."""
     from repro.circuits.circuit import QuantumCircuit
     from repro.circuits.parameters import Parameter
     from repro.simulators.compiled import compile_circuit
 
     theta = Parameter("t")
     qc = QuantumCircuit(3)
-    qc.rxx(theta, 0, 1).rxx(theta, 1, 2)
+    qc.rxx(theta, 0, 1).cx(0, 2).rxx(theta, 1, 2)
     backend = CountingBackend()
     program = compile_circuit(qc, [theta], backend=backend)
     program.state([0.4])

@@ -4,7 +4,7 @@ The paper trains every candidate with COBYLA (200 steps). This bench gives
 each optimizer the same evaluation budget on the same p=1 training problem
 and reports the trained approximation ratio and wall time — quantifying how
 much the search's ranking signal depends on the optimizer choice, and what
-gradient-based training (parameter-shift Adam) buys.
+gradient-based training (exact-gradient Adam) buys.
 """
 
 from __future__ import annotations
@@ -28,9 +28,12 @@ def bench_ablation_optimizers(once):
     def run():
         rows = []
         for name in OPTIMIZERS:
-            # Adam's budget is iterations of full parameter-shift gradients;
-            # give it the equivalent in *iterations* scaled down by the
-            # per-iteration evaluation count so total sims stay comparable.
+            # Adam's budget is iterations of full gradients, each charged
+            # at its parameter-shift-equivalent evaluation count (the
+            # compiled engine's adjoint pass costs about three energies,
+            # but the accounting keeps the shift-rule count); give it the
+            # equivalent in *iterations* scaled down by that count so total
+            # sims stay comparable.
             steps = max(3, budget // 10) if name == "adam" else budget
             config = EvaluationConfig(
                 optimizer=name, max_steps=steps, restarts=1, seed=0

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Benchmark-smoke: tiny end-to-end runs of the search stack and the service.
 
-Five independent checks (select one with ``--only
-search|service|chaos|workloads|surrogate``):
+Six independent checks (select one with ``--only
+search|service|chaos|workloads|surrogate|adam``):
 
 **search** — one tiny cold + warm search through the full Algorithm 1
 stack (enumeration → QBuilder → training → selection), the fault-tolerant
@@ -42,6 +42,12 @@ result config, and exports the winning circuit as OpenQASM.
 submit, asserting the trained ranker actually pruned candidates (the
 skipped counter is nonzero in the result config and in the service's
 ``repro_surrogate_*`` metric families).
+
+**adam** — the gradient-path gate: one tiny Adam sweep per registered
+workload through ``repro.api.search``, asserting a well-formed result
+(winner, ratio in range, finite trained parameters) and that the compiled
+engine's adjoint gradient at the winner's trained point matches the
+statevector engine's per-occurrence parameter-shift gradient to 1e-10.
 """
 
 from __future__ import annotations
@@ -434,11 +440,46 @@ def smoke_surrogate() -> int:
     return 0
 
 
+def smoke_adam() -> int:
+    import numpy as np
+
+    from repro.api import Config, resolve_workload, search
+    from repro.qaoa.ansatz import build_qaoa_ansatz
+    from repro.qaoa.energy import AnsatzEnergy
+    from repro.workloads import available_workloads, get_workload
+
+    config = Config(optimizer="adam", steps=20, seed=1)
+    keys = available_workloads()
+    for key in keys:
+        spec = f"{get_workload(key).family}:1:5"
+        result = search(spec, depths=2, config=config)
+        assert result.config["workload"] == key
+        assert result.config["optimizer"] == "adam"
+        assert 0.0 < result.best_ratio <= 1.0 + 1e-9, (
+            f"{key}: ratio {result.best_ratio} out of range"
+        )
+        best = result.depth_results[result.best_p - 1].best
+        assert best.tokens == result.best_tokens
+        ansatz = build_qaoa_ansatz(
+            resolve_workload(spec)[0], result.best_p, result.best_tokens, workload=key
+        )
+        x = np.asarray(best.best_params[0])
+        assert x.shape == (ansatz.num_parameters,) and np.isfinite(x).all()
+        compiled = AnsatzEnergy(ansatz, engine="compiled").gradient(x)
+        oracle = AnsatzEnergy(ansatz, engine="statevector").gradient(x)
+        gap = float(np.abs(compiled - oracle).max())
+        assert gap <= 1e-10, f"{key}: compiled gradient off by {gap:.2e}"
+        print(f"adam[{key}]: winner {result.best_tokens} p={result.best_p} "
+              f"ratio {result.best_ratio:.4f}; gradient gap {gap:.1e}")
+    print(f"adam smoke OK ({len(keys)} problems)")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--only",
-        choices=["search", "service", "chaos", "workloads", "surrogate"],
+        choices=["search", "service", "chaos", "workloads", "surrogate", "adam"],
         default=None,
         help="run just one smoke (default: all)",
     )
@@ -453,6 +494,8 @@ def main() -> int:
         smoke_workloads()
     if args.only in (None, "surrogate"):
         smoke_surrogate()
+    if args.only in (None, "adam"):
+        smoke_adam()
     return 0
 
 

@@ -9,7 +9,8 @@
 #   bench-smoke tiny end-to-end search with warm-cache assertions, the
 #               service smoke (two concurrent sweeps sharing a cache), the
 #               chaos smoke (fault-injected service invariants), and the
-#               surrogate smoke + eval-reduction gate
+#               surrogate smoke + eval-reduction gate, and the Adam smoke
+#               (compiled vs. statevector gradient per workload)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -44,6 +45,7 @@ python scripts/ci_smoke.py --only service
 python scripts/ci_smoke.py --only chaos
 python scripts/ci_smoke.py --only workloads
 python scripts/ci_smoke.py --only surrogate
+python scripts/ci_smoke.py --only adam
 python scripts/bench_report.py
 python benchmarks/bench_compiled_engine.py
 python benchmarks/bench_batched_optimizers.py

@@ -1,6 +1,6 @@
 """Adam for exact-gradient variational training.
 
-Pairs with the parameter-shift gradients of
+Pairs with the exact gradients of
 :meth:`repro.qaoa.energy.AnsatzEnergy.gradient` — the gradient-based
 alternative the optimizer ablation bench measures against the paper's
 derivative-free COBYLA.
@@ -8,7 +8,7 @@ derivative-free COBYLA.
 Batch-native: :meth:`Adam.minimize_batch` updates a population of K
 restarts in lockstep with vectorized moment buffers. Gradients come from
 ``gradient_batch`` when provided — on the compiled engine that is one
-batched parameter-shift pass over all K points
+batched adjoint pass over all K points
 (:meth:`repro.qaoa.energy.AnsatzEnergy.gradients`) — and the post-update
 objective values of all restarts are scored in one batched call.
 """
@@ -52,7 +52,7 @@ class Adam(Optimizer):
     ) -> None:
         self.gradient = gradient
         #: optional ``(B, dim) -> (B, dim)`` batched gradient (one
-        #: parameter-shift pass for the whole population on the compiled
+        #: adjoint pass for the whole population on the compiled
         #: engine); falls back to a per-point loop over ``gradient``
         self.gradient_batch = gradient_batch
         self.maxiter = int(maxiter)

@@ -60,7 +60,7 @@ class BatchObjective(Protocol):
     ``__call__`` keeps the scalar contract every optimizer understands;
     ``values`` evaluates the rows of a ``(B, dim)`` batch in one pass and
     returns ``(B,)`` objective values; ``value_and_gradient`` serves the
-    gradient-based path (one batched parameter-shift pass on the compiled
+    gradient-based path (one batched adjoint pass on the compiled
     engine).
     """
 

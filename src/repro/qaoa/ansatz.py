@@ -71,7 +71,7 @@ class QAOAAnsatz:
         """Lower into a :class:`~repro.simulators.compiled.CompiledProgram`.
 
         One-time cost per ansatz; the returned program evaluates energies,
-        batches, and parameter-shift gradients without ever rebuilding or
+        batches, and exact gradients without ever rebuilding or
         re-binding this circuit (the fast path of
         :class:`~repro.qaoa.energy.AnsatzEnergy`'s default engine).
         ``backend`` selects the array backend the program runs under — a

@@ -27,14 +27,18 @@ The scalar entry points (:meth:`AnsatzEnergy.value`,
 :meth:`~AnsatzEnergy.values` / :meth:`~AnsatzEnergy.gradients`, so every
 evaluation reaches its engine through one path.
 
-Exact gradients come from the two-term parameter-shift rule applied per
-gate occurrence: every parameterized gate in the package generates
-evolution with a single frequency (Pauli-word generators, or projectors for
-``p``/``cp``), so ``dE/da = [E(a + pi/2) - E(a - pi/2)] / 2`` holds exactly
-and chain-rules through the linear angle expressions (``2*beta``,
-``-w*gamma``). The compiled engine evaluates all shifted energies in one
-batched pass; the dense engine reconstructs a shifted circuit per
-occurrence.
+Gradients are exact on every engine that has them. The compiled engine
+differentiates in reverse mode: one forward run plus one reverse sweep
+(:meth:`~repro.simulators.compiled.CompiledProgram.gradients`), about three
+energy costs per point, however many gate occurrences share the
+parameters. The dense engine is the reference it is pinned against: the
+two-term parameter-shift rule applied per gate occurrence. Every
+shiftable gate in the package generates evolution with a single frequency
+(Pauli-word generators, or projectors for ``p``/``cp``), so ``dE/da =
+[E(a + pi/2) - E(a - pi/2)] / 2`` holds exactly and chain-rules through
+the linear angle expressions (``2*beta``, ``-w*gamma``); the dense engine
+reconstructs a shifted circuit per occurrence. Gates without the rule
+(``u3``) have no gradient on either engine.
 """
 
 from __future__ import annotations
@@ -86,6 +90,11 @@ class AnsatzEnergy:
             QTensorSimulator() if engine == "qtensor" else None
         )
         self._program: CompiledProgram | None = None
+        #: energy evaluations spent, with each gradient counted at its
+        #: shift-rule-equivalent cost (2 per parameterized gate occurrence
+        #: per row) on every engine, so budgets and benches compare across
+        #: engines even though the compiled engine's adjoint gradient does
+        #: not evaluate those shifted energies
         self.num_evaluations = 0
 
     @property
@@ -116,7 +125,7 @@ class AnsatzEnergy:
     def negative_objective(self) -> NegatedEnergy:
         """The minimization view of this energy as a
         :class:`~repro.optimizers.base.BatchObjective` — scalar calls,
-        batched ``values``, and (batched) parameter-shift gradients all
+        batched ``values``, and (batched) exact gradients all
         negated, so batch-native optimizers can drive it directly."""
         return NegatedEnergy(self)
 
@@ -173,17 +182,19 @@ class AnsatzEnergy:
     # -- gradient ---------------------------------------------------------------
 
     def gradient(self, x: Sequence[float]) -> np.ndarray:
-        """Exact parameter-shift gradient of :meth:`value` at ``x`` (a
-        batch of one through :meth:`gradients`)."""
+        """Exact gradient of :meth:`value` at ``x`` (a batch of one
+        through :meth:`gradients`)."""
         return self.gradients(np.reshape(x, (1, -1)))[0]
 
     def gradients(self, X: Sequence[Sequence[float]]) -> np.ndarray:
-        """Parameter-shift gradients for a batch of parameter vectors.
+        """Exact gradients for a batch of parameter vectors.
 
-        Cost: two energy evaluations per parameterized gate occurrence per
-        row. The compiled engine runs all rows' shifted evaluations
-        through its shared chunked batch passes; the other engines build
-        one shifted circuit per occurrence, row by row.
+        The compiled engine runs the whole batch through one adjoint pass,
+        about three energy evaluations per row. The other engines apply the
+        parameter-shift rule, two energy evaluations per parameterized gate
+        occurrence per row, building one shifted circuit per occurrence.
+        :attr:`num_evaluations` charges the shift-rule count on every
+        engine.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.engine == "compiled":

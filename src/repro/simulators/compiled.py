@@ -30,9 +30,12 @@ circuit into a :class:`CompiledProgram`, a flat list of three op kinds:
 points with zero circuit rebuilds, zero dict bindings, and zero matrix
 re-materialization, through one state-evolution routine with a leading
 batch axis; ``energy(x)`` and ``state(x)`` are batches of one through it.
-``gradients(X)`` implements the exact two-term parameter-shift rule by
-injecting per-row shifts into the same batched run instead of
-reconstructing shifted circuits per gate occurrence.
+``gradients(X)`` is the exact adjoint (reverse-mode) gradient of Jones &
+Gacon (arXiv:2009.02823): one forward run to the final state, then one
+reverse sweep that un-applies every op to both the state and the
+cost-weighted adjoint state and reads each op's parameter derivatives off
+their overlap — about three energy evaluations per gradient, however many
+gate occurrences share the parameters.
 
 The array library itself is a knob: every array the program allocates is
 born under an :class:`~repro.simulators.backends.ArrayBackend` (NumPy by
@@ -46,6 +49,7 @@ backends.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -73,7 +77,16 @@ __all__ = [
 #: two-term shift rule applies (shared with repro.qaoa.energy)
 SHIFT_RULE_GATES = frozenset({"rx", "ry", "rz", "p", "rzz", "rxx", "cp"})
 
-_SHIFT = np.pi / 2
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+#: ``K`` with ``dU/da = K U`` for the non-diagonal shift-rule gates, each a
+#: half-angle rotation ``exp(-1j * a * G / 2)`` about a Pauli word ``G``
+#: (the diagonal ones fuse into phase blocks with generator ``1j * gens``)
+_GENERATORS = {
+    "rx": -0.5j * _PAULI_X,
+    "ry": -0.5j * np.array([[0, -1j], [1j, 0]]),
+    "rxx": -0.5j * np.kron(_PAULI_X, _PAULI_X),
+}
 
 #: linear angle expression lowered to flat-parameter indices:
 #: ``(((j, coeff), ...), offset)``
@@ -111,15 +124,6 @@ def _expand_diag(small: np.ndarray, qubits: Sequence[int], num_qubits: int) -> n
 # -- compiled op kinds ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _DiagAtom:
-    """One parameterized diagonal gate occurrence inside a fused block,
-    kept in compact per-gate form so gradient shifts can re-expand it."""
-
-    h_small: tuple[float, ...]
-    qubits: tuple[int, ...]
-
-
 @dataclass
 class _DiagBlock:
     """A maximal run of diagonal gates fused into phase-exponent vectors."""
@@ -130,8 +134,6 @@ class _DiagBlock:
     param_indices: np.ndarray
     #: ``(k, 2^n)`` generator vectors, one row per parameter above
     gens: np.ndarray
-    #: per-occurrence generators for parameter-shift injection
-    atoms: list[_DiagAtom]
     #: ``exp(1j * gen_const)`` precomputed when the block is parameter-free
     static_phase: np.ndarray | None
 
@@ -162,19 +164,19 @@ class _MatrixColumn:
     #: a ``(B, num_parameters)`` batch are ``X @ angle_map + angle_offset``
     angle_map: np.ndarray
     angle_offset: np.ndarray
+    #: the ``angle_map`` columns of the factors with free parameters, in
+    #: factor order: chains their angle derivatives to the flat parameters
+    free_map: np.ndarray
+    #: one single-qubit target per qubit (the weight-shared mixer case),
+    #: applied and differentiated with the grouped-kron kernels
+    full_column: bool
 
 
 @dataclass(frozen=True)
 class _ShiftSite:
-    """One parameterized gate occurrence, addressable for a shift rule."""
+    """One parameterized gate occurrence (gradient accounting and the
+    shift-rule check)."""
 
-    op_index: int
-    #: atom index for diagonal occurrences, -1 otherwise
-    atom: int
-    #: (factor, target) indices for matrix occurrences, (-1, -1) otherwise
-    factor: int
-    target: int
-    coeffs: tuple[tuple[int, float], ...]
     gate_name: str
     shiftable: bool
 
@@ -249,8 +251,8 @@ def _batch_mat_ry(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-#: vectorized (angle-vector -> (U, 2, 2)) builders for the hot mixer
-#: rotations; chains of anything else fall back to the per-row loop
+#: vectorized (angle-vector -> (B, 2, 2)) builders for the hot mixer
+#: rotations; factors of any other gate are built row by row
 _BATCH_MATRIX_FNS = {"rx": _batch_mat_rx, "ry": _batch_mat_ry}
 
 
@@ -281,6 +283,23 @@ def _group_sizes(num_qubits: int) -> list[int]:
     if remaining % 2:
         sizes.append(1)
     return sizes
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_sum_map(size: int) -> np.ndarray:
+    """``(4^g, 4)`` 0/1 map from a flattened ``g``-qubit cross overlap
+    ``G[a, c]`` to ``sum_k S_k`` flattened, where ``S_k[i, j]`` sums the
+    entries whose bit ``k`` is ``i`` in ``a`` and ``j`` in ``c`` and whose
+    other bits agree (see :meth:`CompiledProgram._qubit_overlap_sum`)."""
+    dim = 1 << size
+    a, c = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
+    out = np.zeros((dim, dim, 2, 2))
+    for k in range(size):
+        agree = ((a ^ c) | (1 << k)) == 1 << k
+        ak, ck = a[agree], c[agree]
+        out[ak, ck, (ak >> k) & 1, (ck >> k) & 1] += 1
+    out.flags.writeable = False  # shared by every program through the cache
+    return out.reshape(dim * dim, 4)
 
 
 def _rotate_groups(state, groups: Sequence) -> np.ndarray:
@@ -402,20 +421,13 @@ class CompiledProgram:
                 )
         else:
             self._cut = None if graph is None else cut_values(graph)
-        # Atom generators expanded to the full basis, memoized per distinct
-        # (h_small, qubits): a cost-layer edge appears once per QAOA layer,
-        # so this caches p-fold fewer vectors than storing one per atom
-        # while sparing the gradient path any repeated expansion.
-        self._atom_vectors: dict[tuple, np.ndarray] = {}
-        # Batched-path memos: per-op unique-value decompositions of diagonal
-        # generators (phase lookup tables) and exp(1j * s * atom) vectors
-        # for the +-pi/2 gradient shifts.
+        # Per-op unique-value decompositions of diagonal generators (phase
+        # lookup tables, see _diag_lookup).
         self._diag_lookups: dict[int, tuple] = {}
-        self._atom_shift_phases: dict[tuple, np.ndarray] = {}
         self._initial_host: np.ndarray | None = None
         # Transposed kron'd group matrices of full static columns (see
-        # _rotate_groups), built on the device once per op.
-        self._static_groups: dict[int, list] = {}
+        # _rotate_groups), built on the device once per (op, direction).
+        self._static_groups: dict[tuple[int, bool], list] = {}
 
     # -- introspection -----------------------------------------------------
 
@@ -426,8 +438,9 @@ class CompiledProgram:
 
     @property
     def num_shift_sites(self) -> int:
-        """Parameterized gate occurrences (2 energy evals each per
-        gradient, matching the dense engine's accounting)."""
+        """Parameterized gate occurrences: what the dense engine's shift
+        rule pays 2 energy evaluations each for, and what
+        :class:`~repro.qaoa.energy.AnsatzEnergy` charges a gradient."""
         return len(self.shift_sites)
 
     # -- device constants --------------------------------------------------
@@ -436,7 +449,7 @@ class CompiledProgram:
         """Device-resident view of a *persistent* host constant.
 
         Program constants (generator vectors, static phases, the cut
-        table, memoized atom vectors) are built on the host at compile
+        table, the overlap maps) are built on the host at compile
         time and uploaded through ``backend.asarray`` the first time an
         evaluation touches them; the upload is memoized by object
         identity, so a device backend pays one transfer per constant per
@@ -463,25 +476,6 @@ class CompiledProgram:
                     f"unknown initial state label {self.initial_state_label!r}"
                 )
         return self._dev(self._initial_host)
-
-    def _atom_vector(self, atom: _DiagAtom) -> np.ndarray:
-        key = (atom.h_small, atom.qubits)
-        vector = self._atom_vectors.get(key)
-        if vector is None:
-            vector = _expand_diag(atom.h_small, atom.qubits, self.num_qubits)
-            self._atom_vectors[key] = vector
-        return vector
-
-    def _atom_shift_phase(self, atom: _DiagAtom, shift: float) -> np.ndarray:
-        """``exp(1j * shift * atom_generator)`` memoized per (atom, shift):
-        the gradient's +-pi/2 shifts reuse two vectors per distinct edge
-        generator instead of re-exponentiating every call."""
-        key = (atom.h_small, atom.qubits, shift)
-        phase = self._atom_shift_phases.get(key)
-        if phase is None:
-            phase = np.exp(1j * shift * self._atom_vector(atom))
-            self._atom_shift_phases[key] = phase
-        return phase
 
     def _diag_lookup(self, op_index: int, op: _DiagBlock) -> tuple:
         """Unique-value decomposition of a diag block's phase exponent.
@@ -552,162 +546,139 @@ class CompiledProgram:
         xp = self.backend.xp
         return self.backend.to_host(xp.ascontiguousarray(self._states_batch(X).T))
 
-    def _states_batch(
-        self,
-        X: np.ndarray,
-        shifts: Sequence[tuple[_ShiftSite, float] | None] | None = None,
-    ) -> np.ndarray:
+    def _states_batch(self, X: np.ndarray) -> np.ndarray:
         """Batch-major final statevectors: row ``b`` is the state at
-        ``X[b]``. This is the program's only state-evolution routine —
-        every entry point, the scalar ones as batches of one, runs
-        through it. The batch axis leads so every per-point quantity (diag
-        exponents, probabilities, cut energies) stays row-contiguous and
-        the per-column matrix applies reduce to stacked gemms.
+        ``X[b]``. This is the program's only forward state-evolution
+        routine — every entry point, the scalar ones as batches of one,
+        runs through it, and the gradient's reverse sweep runs the same
+        per-op kernels backwards. The batch axis leads so every per-point
+        quantity (diag exponents, probabilities, cut energies) stays
+        row-contiguous and the per-column matrix applies reduce to stacked
+        gemms.
 
-        ``X`` stays on the host (angle-expression evaluation and dedup
-        are host bookkeeping) and is uploaded once as ``Xd``; the state
-        and every per-basis-state quantity live on the array backend.
+        ``X`` stays on the host (angle-expression evaluation is host
+        bookkeeping) and is uploaded once as ``Xd``; the state and every
+        per-basis-state quantity live on the array backend.
         """
         X = self._check_batch(X)
-        batch = X.shape[0]
-        by_op: dict[int, list[tuple[int, _ShiftSite, float]]] = {}
-        if shifts is not None:
-            for column, entry in enumerate(shifts):
-                if entry is not None:
-                    site, s = entry
-                    by_op.setdefault(site.op_index, []).append((column, site, s))
-
-        backend = self.backend
-        xp = backend.xp
-        Xd = backend.asarray(X)
-        state = xp.empty((batch, 2**self.num_qubits), dtype=complex)
+        xp = self.backend.xp
+        Xd = self.backend.asarray(X)
+        state = xp.empty((X.shape[0], 2**self.num_qubits), dtype=complex)
         state[:] = self._initial_state()
         for op_index, op in enumerate(self.ops):
-            shifts_here = by_op.get(op_index, ())
             if isinstance(op, _DiagBlock):
-                if op.static_phase is not None:
-                    # broadcasts across rows
-                    state = backend.multiply(
-                        state, self._dev(op.static_phase), out=state
-                    )
-                    continue
-                gens_u, const_u, inverse = self._diag_lookup(op_index, op)
-                if inverse is not None:
-                    # few distinct generator values: exponentiate unique
-                    # columns, gather, and fold gradient shifts in as
-                    # cached per-atom phase factors
-                    exponent_u = Xd[:, self._dev(op.param_indices)] @ gens_u
-                    if const_u is not None:
-                        exponent_u += const_u
-                    phases = backend.take(
-                        backend.exp(1j * exponent_u), inverse, axis=1
-                    )
-                    for column, site, s in shifts_here:
-                        phases[column] *= self._dev(
-                            self._atom_shift_phase(op.atoms[site.atom], s)
-                        )
-                    state = backend.multiply(state, phases, out=state)
-                    continue
-                exponent = Xd[:, self._dev(op.param_indices)] @ self._dev(op.gens)
-                if op.gen_const is not None:
-                    exponent += self._dev(op.gen_const)
-                for column, site, s in shifts_here:
-                    exponent[column] += s * self._dev(
-                        self._atom_vector(op.atoms[site.atom])
-                    )
-                state = backend.multiply(state, backend.exp(1j * exponent), out=state)
+                state = self._apply_diag(op_index, op, state, Xd)
             else:
-                # gradient batches tile one x across 2*sites rows, so
-                # matrix columns dedup their angle rows before building
-                state = self._apply_column_batch(
-                    op_index, op, state, X, shifts_here, dedup=shifts is not None
-                )
+                matrices, _ = self._column_matrices(op, X)
+                state = self._apply_column(op_index, op, state, matrices)
         return state
 
-    def _column_matrices(
-        self,
-        op: _MatrixColumn,
-        X: np.ndarray,
-        dedup: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point chain matrices ``(B, dim, dim)`` plus the raw angle
-        rows (for shift re-builds).
-
-        ``dedup`` collapses duplicate angle rows before building — worth
-        it on gradient batches (one x tiled 2*sites times carries a
-        handful of distinct combinations), pure overhead on optimizer
-        batches whose rows are all distinct.
-        """
-        angle_rows = X @ op.angle_map + op.angle_offset
-        if dedup:
-            unique_rows, inverse = np.unique(
-                angle_rows, axis=0, return_inverse=True
+    def _apply_diag(
+        self, op_index: int, op: _DiagBlock, state, Xd, adjoint: bool = False
+    ):
+        """Multiply a batch-major state by one diagonal block's phases, or
+        by their conjugates when ``adjoint``. ``state`` holds one or more
+        stacked copies of the ``Xd`` batch (the gradient's ``[psi; lam]``
+        pair); each copy's row ``b`` gets point ``b``'s phases."""
+        backend = self.backend
+        if op.static_phase is not None:
+            phase = self._dev(op.static_phase)
+            # broadcasts across rows
+            return backend.multiply(
+                state, phase.conj() if adjoint else phase, out=state
             )
-            inverse = inverse.reshape(-1)
-        else:
-            unique_rows, inverse = angle_rows, None
-        dim = 2 ** len(op.targets[0])
-        num_unique = unique_rows.shape[0]
-        if dim == 2 and all(
-            not factor.exprs
-            or (len(factor.exprs) == 1 and factor.name in _BATCH_MATRIX_FNS)
-            for factor in op.factors
-        ):
-            # mixer-chain fast path: build all unique 2x2 factors from the
-            # whole angle vector at once and chain them as stacked matmuls
-            built = None
-            cursor = 0
-            for factor in op.factors:
-                if factor.exprs:
-                    stack = _BATCH_MATRIX_FNS[factor.name](
-                        unique_rows[:, cursor]
-                    )
-                    cursor += 1
-                else:
-                    stack = np.broadcast_to(
-                        factor.matrix_fn([]), (num_unique, 2, 2)
-                    )
-                built = stack if built is None else stack @ built
-        else:
-            built = np.empty((num_unique, dim, dim), dtype=complex)
-            for u_index in range(num_unique):
-                built[u_index] = self._chain_matrix(op, unique_rows[u_index])
+        sign = -1j if adjoint else 1j
+        gens_u, const_u, inverse = self._diag_lookup(op_index, op)
         if inverse is not None:
-            built = built[inverse]
-        return np.ascontiguousarray(built), angle_rows
+            # few distinct generator values: exponentiate unique columns
+            # and gather
+            exponent_u = Xd[:, self._dev(op.param_indices)] @ gens_u
+            if const_u is not None:
+                exponent_u += const_u
+            phases = backend.take(backend.exp(sign * exponent_u), inverse, axis=1)
+        else:
+            exponent = Xd[:, self._dev(op.param_indices)] @ self._dev(op.gens)
+            if op.gen_const is not None:
+                exponent += self._dev(op.gen_const)
+            phases = backend.exp(sign * exponent)
+        blocks = state.reshape(-1, Xd.shape[0], state.shape[1])
+        return backend.multiply(blocks, phases, out=blocks).reshape(state.shape)
 
-    def _apply_column_batch(
+    def _column_matrices(
+        self, op: _MatrixColumn, X: np.ndarray, derivatives: bool = False
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Per-point chain matrices ``M = F_m ... F_1`` of a parameterized
+        column as a ``(B, dim, dim)`` host stack (None for a static
+        column), plus — with ``derivatives`` — the ``(B, F, dim*dim)``
+        stack of ``M^-1 dM/da_f = P_f^dagger K_f P_f`` for each free factor
+        ``f`` in order, where ``P_f = F_f ... F_1`` and ``K_f`` is the
+        factor's :data:`_GENERATORS` entry.
+        """
+        if op.static_matrix is not None:
+            return None, None
+        angle_rows = X @ op.angle_map + op.angle_offset
+        batch = X.shape[0]
+        dim = 2 ** len(op.targets[0])
+        chain = None
+        derivs = []
+        cursor = 0
+        for factor in op.factors:
+            count = len(factor.exprs)
+            angles = angle_rows[:, cursor:cursor + count]
+            cursor += count
+            if not count:
+                stack = np.broadcast_to(factor.matrix_fn([]), (batch, dim, dim))
+            elif count == 1 and factor.name in _BATCH_MATRIX_FNS:
+                # the hot mixer rotations: the whole angle vector at once
+                stack = _BATCH_MATRIX_FNS[factor.name](angles[:, 0])
+            else:
+                stack = np.stack([factor.matrix_fn(list(row)) for row in angles])
+            chain = stack if chain is None else stack @ chain
+            if derivatives and factor.has_free:
+                chain_H = chain.conj().transpose(0, 2, 1)
+                derivs.append(chain_H @ _GENERATORS[factor.name] @ chain)
+        chain = np.ascontiguousarray(chain)
+        if not derivatives:
+            return chain, None
+        return chain, np.stack(derivs, axis=1).reshape(batch, len(derivs), dim * dim)
+
+    def _apply_column(
         self,
         op_index: int,
         op: _MatrixColumn,
-        state: np.ndarray,
-        X: np.ndarray,
-        shifts_here: Sequence[tuple[int, _ShiftSite, float]],
-        dedup: bool = False,
-    ) -> np.ndarray:
-        """Apply one matrix column to a batch-major ``(B, 2^n)`` state.
+        state,
+        matrices: np.ndarray | None,
+        adjoint: bool = False,
+    ):
+        """Apply one matrix column, or its inverse when ``adjoint``, to a
+        batch-major state.
 
-        The chain matrices themselves are built on the host (tiny per-point
-        stacks, heavy Python bookkeeping) and uploaded right before the
-        device gemms — the natural host→device transfer point a real GPU
-        backend pays per column.
+        ``matrices`` is the column's chain stack from
+        :meth:`_column_matrices` (None for a static column); ``state``
+        holds one or more stacked copies of that batch. The stacks are
+        built on the host (tiny per-point stacks, heavy Python
+        bookkeeping) and uploaded right before the device gemms — the
+        natural host→device transfer point a real GPU backend pays per
+        column.
         """
         n = self.num_qubits
-        batch = state.shape[0]
         backend = self.backend
         xp = backend.xp
-        full_column = len(op.targets) == n and len(op.targets[0]) == 1
-        if op.static_matrix is not None:
-            # parameter-free, so never shifted
-            if full_column:
-                groups = self._static_groups.get(op_index)
+        if matrices is None:
+            if op.full_column:
+                groups = self._static_groups.get((op_index, adjoint))
                 if groups is None:
-                    static_T = np.ascontiguousarray(op.static_matrix.T)[None]
-                    memo = {1: backend.asarray(static_T)}
+                    # _rotate_groups right-multiplies by transposes, and
+                    # the transpose of M^dagger is conj(M)
+                    host = op.static_matrix.conj() if adjoint else op.static_matrix.T
+                    memo = {1: backend.asarray(np.ascontiguousarray(host)[None])}
                     groups = [_kron_power(memo, size, backend) for size in _group_sizes(n)]
-                    self._static_groups[op_index] = groups
+                    self._static_groups[(op_index, adjoint)] = groups
                 return _rotate_groups(state, groups)
             static_dev = self._dev(op.static_matrix)
+            if adjoint:
+                static_dev = static_dev.conj().T
+            batch = state.shape[0]
             for target in op.targets:
                 if len(target) == 1:
                     # the flat view's bit strides match the single-state
@@ -721,95 +692,31 @@ class CompiledProgram:
                     state = xp.ascontiguousarray(work.T)
             return state
 
-        base_stack, angle_rows = self._column_matrices(op, X, dedup)
-
-        if full_column:
-            shifts_by_qubit: dict[int, list[tuple[int, _ShiftSite, float]]] = {}
-            for column, site, s in shifts_here:
-                shifts_by_qubit.setdefault(op.targets[site.target][0], []).append(
-                    (column, site, s)
-                )
-
+        if adjoint:
+            matrices = matrices.conj().transpose(0, 2, 1)
+        copies = state.shape[0] // matrices.shape[0]
+        if copies > 1:
+            matrices = np.concatenate([matrices] * copies)
+        if op.full_column:
             # Only the (B, 2, 2) chain stacks cross to the device, and
             # transposed: the kron of transposes is the transposed kron,
             # so the group stacks built there from them are already the
             # right-hand factors _rotate_groups multiplies by.
-            base_T = np.ascontiguousarray(base_stack.transpose(0, 2, 1))
-            memo = {1: backend.asarray(base_T)}
-
-            def qubit_stack_T(qubit: int):
-                shifted = shifts_by_qubit.get(qubit, ())
-                if not shifted:
-                    return memo[1]
-                stack = base_T.copy()
-                for column, site, s in shifted:
-                    stack[column] = self._chain_matrix(
-                        op, angle_rows[column], shift_factor=site.factor, shift=s
-                    ).T
-                return backend.asarray(stack)
-
-            groups = []
-            top = n - 1
-            for size in _group_sizes(n):
-                qubits = [top - j for j in range(size)]
-                top -= size
-                if any(q in shifts_by_qubit for q in qubits):
-                    group = qubit_stack_T(qubits[0])
-                    for qubit in qubits[1:]:
-                        group = _kron_pairs(group, qubit_stack_T(qubit), backend)
-                    groups.append(group)
-                else:
-                    groups.append(_kron_power(memo, size, backend))
+            memo = {1: backend.asarray(np.ascontiguousarray(matrices.transpose(0, 2, 1)))}
+            groups = [_kron_power(memo, size, backend) for size in _group_sizes(n)]
             return _rotate_groups(state, groups)
 
         # General fallback (multi-qubit targets, partial columns): the
-        # trailing-batch kernels on a transposed view. Matrix stacks are
-        # assembled (and shift-patched) on the host, uploaded per target.
+        # trailing-batch kernels on a transposed view, with one upload of
+        # the matrix stack per column.
         work = xp.ascontiguousarray(state.T)
-        base_trailing = np.ascontiguousarray(np.moveaxis(base_stack, 0, -1))
-        base_trailing_dev = None
-        for t_index, target in enumerate(op.targets):
-            shifted = [
-                (column, site, s)
-                for column, site, s in shifts_here
-                if site.target == t_index
-            ]
-            if shifted:
-                patched = base_trailing.copy()
-                for column, site, s in shifted:
-                    patched[:, :, column] = self._chain_matrix(
-                        op, angle_rows[column], shift_factor=site.factor, shift=s
-                    )
-                matrices = backend.asarray(patched)
-            else:
-                if base_trailing_dev is None:
-                    base_trailing_dev = backend.asarray(base_trailing)
-                matrices = base_trailing_dev
+        trailing = backend.asarray(np.ascontiguousarray(np.moveaxis(matrices, 0, -1)))
+        for target in op.targets:
             if len(target) == 1:
-                work = _apply_1q_per_column(work, matrices, target[0], backend)
+                work = _apply_1q_per_column(work, trailing, target[0], backend)
             else:
-                work = _contract_per_column(work, matrices, target, n, backend)
+                work = _contract_per_column(work, trailing, target, n, backend)
         return xp.ascontiguousarray(work.T)
-
-    def _chain_matrix(
-        self,
-        op: _MatrixColumn,
-        angles: np.ndarray,
-        *,
-        shift_factor: int = -1,
-        shift: float = 0.0,
-    ) -> np.ndarray:
-        matrix = None
-        cursor = 0
-        for f_index, factor in enumerate(op.factors):
-            count = len(factor.exprs)
-            values = list(angles[cursor:cursor + count])
-            cursor += count
-            if f_index == shift_factor:
-                values[0] += shift
-            factor_matrix = factor.matrix_fn(values)
-            matrix = factor_matrix if matrix is None else factor_matrix @ matrix
-        return matrix
 
     def energies(self, X: np.ndarray) -> np.ndarray:
         """``<C>`` for every row of a ``(B, num_parameters)`` batch."""
@@ -827,54 +734,114 @@ class CompiledProgram:
     # -- gradient ----------------------------------------------------------
 
     def gradient(self, x: Sequence[float]) -> np.ndarray:
-        """Exact parameter-shift gradient of :meth:`energy` at ``x``.
-
-        All ``2 * num_shift_sites`` shifted evaluations run as one batched
-        pass (chunked to bound memory) with the shift injected into the
-        relevant op, instead of rebuilding a shifted circuit per site.
-        """
+        """Exact gradient of :meth:`energy` at ``x`` (a batch of one
+        through :meth:`gradients`)."""
         return self.gradients(np.reshape(x, (1, -1)))[0]
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
-        """Parameter-shift gradients for every row of a ``(B,
+        """Exact gradients of :meth:`energies` for every row of a ``(B,
         num_parameters)`` batch, as ``(B, num_parameters)``.
 
-        The ``B * 2 * num_shift_sites`` shifted evaluations of the whole
-        batch share chunked passes of the state evolution — the seam
-        batch-native gradient optimizers (Adam over a restart population)
-        ride instead of looping per-point :meth:`gradient` calls.
+        Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): one
+        forward run to the final state ``psi``, the adjoint state ``lam =
+        C psi``, then one reverse sweep that un-applies every op ``U`` to
+        the stacked ``[psi; lam]`` pair and reads ``dE/da = 2 Re <lam| U^-1
+        dU/da |psi>`` off the pair — a generator-weighted overlap for a
+        diagonal block, a reduced per-target overlap contracted with
+        :meth:`_column_matrices`' derivative stack for a matrix column.
+        That is about three state evolutions per row, however many gate
+        occurrences share the parameters. Rows run in chunks that keep the
+        pair within ``2^22`` amplitudes, and only the ``(B,
+        num_parameters)`` result crosses back to the host. Gates without a
+        two-term shift rule (``u3``) raise ``NotImplementedError``, like
+        the dense engine.
         """
         X = self._check_batch(X)
-        batch = X.shape[0]
-        grads = np.zeros((batch, self.num_parameters))
-        sites = self.shift_sites
-        if not sites or batch == 0:
-            return grads
-        for site in sites:
+        for site in self.shift_sites:
             if not site.shiftable:
                 raise NotImplementedError(
                     f"no shift rule for gate '{site.gate_name}'"
                 )
-        specs: list[tuple[_ShiftSite, float]] = []
-        for site in sites:
-            specs.append((site, +_SHIFT))
-            specs.append((site, -_SHIFT))
-        per_point = len(specs)
-        total = batch * per_point
-        energies = np.empty(total)
-        chunk = max(1, (1 << 22) >> self.num_qubits)
-        for start in range(0, total, chunk):
-            rows = np.arange(start, min(start + chunk, total))
-            shifted = self._states_batch(
-                X[rows // per_point], [specs[r % per_point] for r in rows]
-            )
-            energies[rows] = self._cut_energies(shifted)
-        paired = energies.reshape(batch, len(sites), 2)
-        for k, site in enumerate(sites):
-            site_grad = (paired[:, k, 0] - paired[:, k, 1]) / 2.0
-            for j, coeff in site.coeffs:
-                grads[:, j] += coeff * site_grad
+        grads = np.zeros(X.shape)
+        if not self.shift_sites:
+            return grads
+        chunk = max(1, (1 << 21) >> self.num_qubits)
+        for start in range(0, X.shape[0], chunk):
+            grads[start:start + chunk] = self._adjoint(X[start:start + chunk])
         return grads
+
+    def _adjoint(self, X: np.ndarray) -> np.ndarray:
+        """One row chunk of :meth:`gradients`, on the array backend."""
+        backend = self.backend
+        xp = backend.xp
+        batch = X.shape[0]
+        Xd = backend.asarray(X)
+        pair = xp.concatenate([self._states_batch(X)] * 2)
+        pair[batch:] *= self._dev(self._cut_table())
+        grads = xp.zeros((batch, self.num_parameters))
+        for op_index in reversed(range(len(self.ops))):
+            op = self.ops[op_index]
+            if isinstance(op, _DiagBlock):
+                pair = self._apply_diag(op_index, op, pair, Xd, adjoint=True)
+                if op.static_phase is None:
+                    # U^-1 dU/dx_j = 1j * gens[j]
+                    overlap = (xp.conj(pair[batch:]) * pair[:batch]).imag
+                    grads[:, self._dev(op.param_indices)] -= 2.0 * (
+                        overlap @ self._dev(op.gens).T
+                    )
+                continue
+            matrices, derivs = self._column_matrices(op, X, derivatives=True)
+            pair = self._apply_column(op_index, op, pair, matrices, adjoint=True)
+            if derivs is None:
+                continue
+            if op.full_column:
+                overlap = self._qubit_overlap_sum(pair, batch)
+            else:
+                overlap = sum(
+                    self._target_overlap(pair, batch, target)
+                    for target in op.targets
+                )
+            # every target shares the chain, so one overlap sum serves all
+            factor_grads = 2.0 * (backend.asarray(derivs) @ overlap[:, :, None])[..., 0].real
+            grads += factor_grads @ self._dev(op.free_map).T
+        return backend.to_host(grads)
+
+    def _qubit_overlap_sum(self, pair, batch: int):
+        """``sum_q S_q`` over all qubits, as ``(B, 4)``, for a stacked
+        ``[psi; lam]`` pair: ``S_q[b, i, j]`` sums ``conj(lam_b) psi_b``
+        over basis-state pairs holding ``i`` and ``j`` on qubit ``q`` and
+        agreeing on every other qubit.
+
+        Cycles the layout like :func:`_rotate_groups`: each round exposes
+        the next group of ``g`` qubits as the leading basis bits, one
+        stacked gemm forms the group's ``(B, 2^g, 2^g)`` cross overlap, and
+        the constant :func:`_pair_sum_map` folds it into the group's
+        per-qubit sum.
+        """
+        xp = self.backend.xp
+        total = 0
+        for size in _group_sizes(self.num_qubits):
+            view = pair.reshape(2 * batch, 1 << size, -1)
+            cross = xp.conj(view[batch:]) @ view[:batch].transpose(0, 2, 1)
+            total = total + cross.reshape(batch, -1) @ self._dev(_pair_sum_map(size))
+            pair = xp.ascontiguousarray(view.transpose(0, 2, 1))
+        return total
+
+    def _target_overlap(self, pair, batch: int, target: tuple[int, ...]):
+        """``S`` of one target tuple, as ``(B, 4^m)``: ``S[b, i, j]`` sums
+        ``conj(lam_b) psi_b`` over basis-state pairs holding local indices
+        ``i`` and ``j`` (bit ``k`` on ``target[k]``, as in the gate
+        matrix) on the target and agreeing on every other qubit."""
+        n = self.num_qubits
+        m = len(target)
+        tensor = pair.reshape((2 * batch,) + (2,) * n)
+        # qubit q is tensor axis n - q; the local index's high bit leads
+        moved = self.backend.moveaxis(
+            tensor, [n - q for q in reversed(target)], list(range(1, m + 1))
+        )
+        view = moved.reshape(2 * batch, 1 << m, -1)
+        cross = self.backend.xp.conj(view[batch:]) @ view[:batch].transpose(0, 2, 1)
+        return cross.reshape(batch, -1)
 
 
 # -- the compile pass ------------------------------------------------------
@@ -933,8 +900,6 @@ def compile_circuit(
             return
         gen_const: np.ndarray | None = None
         gen_by_param: dict[int, np.ndarray] = {}
-        atoms: list[_DiagAtom] = []
-        op_index = len(ops)
 
         def add_const(vector: np.ndarray) -> None:
             nonlocal gen_const
@@ -959,17 +924,8 @@ def compile_circuit(
                         gen_by_param[j] = np.zeros(2**n)
                     gen_by_param[j] += coeff * h_full
                 sites.append(
-                    _ShiftSite(
-                        op_index=op_index,
-                        atom=len(atoms),
-                        factor=-1,
-                        target=-1,
-                        coeffs=terms,
-                        gate_name=spec.name,
-                        shiftable=spec.name in SHIFT_RULE_GATES,
-                    )
+                    _ShiftSite(spec.name, spec.name in SHIFT_RULE_GATES)
                 )
-                atoms.append(_DiagAtom(tuple(h_small), instr.qubits))
         diag_run.clear()
 
         if not gen_by_param:
@@ -980,7 +936,6 @@ def compile_circuit(
                     gen_const=None,
                     param_indices=np.empty(0, dtype=np.int64),
                     gens=np.empty((0, 2**n)),
-                    atoms=[],
                     static_phase=np.exp(1j * gen_const),
                 )
             )
@@ -991,7 +946,6 @@ def compile_circuit(
                 gen_const=gen_const,
                 param_indices=np.asarray(indices, dtype=np.int64),
                 gens=np.stack([gen_by_param[j] for j in indices]),
-                atoms=atoms,
                 static_phase=None,
             )
         )
@@ -1008,7 +962,6 @@ def compile_circuit(
     def emit_column(
         targets: tuple[tuple[int, ...], ...], factors: tuple[_Factor, ...]
     ) -> None:
-        op_index = len(ops)
         static_matrix = None
         if not any(factor.has_free for factor in factors):
             matrix = None
@@ -1022,6 +975,10 @@ def compile_circuit(
         for column, (terms, _) in enumerate(exprs):
             for j, coeff in terms:
                 angle_map[j, column] = coeff
+        starts = np.cumsum([0] + [len(factor.exprs) for factor in factors])
+        free_columns = [
+            start for start, factor in zip(starts, factors) if factor.has_free
+        ]
         ops.append(
             _MatrixColumn(
                 targets=targets,
@@ -1029,26 +986,20 @@ def compile_circuit(
                 static_matrix=static_matrix,
                 angle_map=angle_map,
                 angle_offset=np.array([offset for _, offset in exprs], dtype=float),
+                free_map=angle_map[:, free_columns],
+                full_column=len(targets) == n and len(targets[0]) == 1,
             )
         )
-        for t_index in range(len(targets)):
-            for f_index, factor in enumerate(factors):
-                if not factor.has_free:
-                    continue
-                sites.append(
-                    _ShiftSite(
-                        op_index=op_index,
-                        atom=-1,
-                        factor=f_index,
-                        target=t_index,
-                        coeffs=factor.exprs[0][0],
-                        gate_name=factor.name,
-                        shiftable=(
+        for _ in targets:
+            for factor in factors:
+                if factor.has_free:
+                    sites.append(
+                        _ShiftSite(
+                            factor.name,
                             factor.name in SHIFT_RULE_GATES
-                            and len(factor.exprs) == 1
-                        ),
+                            and len(factor.exprs) == 1,
+                        )
                     )
-                )
 
     def flush_sq() -> None:
         if not sq_run:

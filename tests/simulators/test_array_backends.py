@@ -225,6 +225,36 @@ class TestMockGPUAccounting:
             "memo is broken"
         )
 
+    def test_gradient_constants_upload_once(self, er6):
+        """Repeat gradients re-upload the batch and its per-call chain
+        matrices, never the program's generators / cut table / overlap
+        maps."""
+        ansatz = build_qaoa_ansatz(er6, 2, ("rx", "ry"))
+        backend = MockGPUArrayBackend()
+        program = compile_ansatz(ansatz, backend=backend)
+        X = np.full((2, ansatz.num_parameters), 0.3)
+        program.gradients(X)
+        after_first = backend.stats()["bytes_to_device"]
+        program.gradients(X)
+        per_repeat = backend.stats()["bytes_to_device"] - after_first
+        assert per_repeat < after_first / 2, (
+            "repeat gradients re-upload program constants — the device "
+            "memo is broken"
+        )
+
+    def test_gradients_download_only_the_result(self, er6):
+        """The reverse sweep stays on the device: one gradients call moves
+        exactly its (B, P) float result to the host, no (B, 2^n) state."""
+        ansatz = build_qaoa_ansatz(er6, 2, ("rx", "cx_ring", "p"))
+        backend = MockGPUArrayBackend()
+        program = compile_ansatz(ansatz, backend=backend)
+        X = np.random.default_rng(3).uniform(-np.pi, np.pi, (3, ansatz.num_parameters))
+        for _ in range(2):
+            backend.reset_stats()
+            grads = program.gradients(X)
+            assert grads.shape == (3, ansatz.num_parameters)
+            assert backend.stats()["bytes_to_host"] == grads.nbytes
+
     def test_reset_stats(self):
         backend = MockGPUArrayBackend()
         backend.asarray(np.zeros(16))

@@ -16,11 +16,12 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import GATE_REGISTRY
 from repro.circuits.parameters import Parameter
 from repro.graphs.generators import cycle_graph, erdos_renyi_graph
-from repro.qaoa.ansatz import build_qaoa_ansatz
+from repro.qaoa.ansatz import QAOAAnsatz, build_qaoa_ansatz
 from repro.qaoa.energy import AnsatzEnergy
 from repro.qaoa.mixers import MIXER_TOKENS
 from repro.simulators.compiled import CompiledProgram, compile_ansatz, compile_circuit
 from repro.simulators.statevector import plus_state, simulate, zero_state
+from repro.workloads import get_workload
 
 ATOL = 1e-10
 
@@ -134,6 +135,23 @@ def test_paper_scale_energy_and_gradient(tokens, initial_hadamard):
     np.testing.assert_allclose(compiled.gradient(x), oracle.gradient(x), atol=ATOL)
 
 
+@pytest.mark.parametrize("workload", ["maxcut", "wmaxcut", "maxsat", "ising"])
+def test_gradient_matches_statevector_per_workload(workload):
+    """Batched compiled gradients of every registered workload's objective
+    against the dense engine's per-row parameter shift, with entangler
+    tokens in the mixer."""
+    graph = get_workload(workload).dataset(1, num_nodes=5, dataset_seed=17)[0]
+    mixers = {1: ("rx", "cx_ring"), 2: ("cz_ring", "ry", "p"), 3: ("ry", "cx_ring", "rx")}
+    rng = np.random.default_rng(23)
+    for p, tokens in mixers.items():
+        ansatz = build_qaoa_ansatz(graph, p, tokens, workload=workload)
+        compiled, oracle = _engines(ansatz)
+        X = rng.uniform(-np.pi, np.pi, (3, ansatz.num_parameters))
+        np.testing.assert_allclose(
+            compiled.gradients(X), oracle.gradients(X), atol=ATOL, err_msg=f"p={p}"
+        )
+
+
 def test_final_state_matches_dense_simulation(er6):
     ansatz = build_qaoa_ansatz(er6, 2, ("rx", "ry"))
     compiled, oracle = _engines(ansatz)
@@ -196,6 +214,35 @@ def test_compile_circuit_plus_initial_state():
     program = compile_circuit(qc, [theta], initial_state="+")
     dense = simulate(qc, plus_state(2), {theta: -1.2})
     np.testing.assert_allclose(program.state([-1.2]), dense, atol=ATOL)
+
+
+@pytest.mark.parametrize("initial_state", ["0", "+"])
+def test_generic_circuit_gradient_matches_dense_shift_rule(initial_state):
+    """The reverse sweep's non-full-column branches: partial parameterized
+    columns (shared and per-qubit chains), parameterized multi-qubit gates
+    (``rxx`` as a matrix column, ``cp``/``rzz`` in diagonal blocks) and a
+    static ``cx``, against the dense parameter-shift gradient."""
+    a, b, c, d = (Parameter(name) for name in "abcd")
+    qc = QuantumCircuit(4)
+    qc.h(0).h(2).rx(a, 0).ry(b * 2.0, 1).rxx(c, 1, 2).cx(0, 3)
+    qc.cp(d, 2, 3).rzz(a * -0.5 + 0.3, 0, 3).rx(b, 0).rx(b, 2)
+    qc.h(1).ry(c, 1).ry(d, 3).rx(d * 1.5, 3).rxx(a + d, 0, 3)
+    graph = cycle_graph(4)
+    program = compile_circuit(qc, [a, b, c, d], initial_state=initial_state, graph=graph)
+    assert program.initial_state_label == initial_state
+    dense = AnsatzEnergy(
+        QAOAAnsatz(
+            circuit=qc,
+            gammas=(a, b),
+            betas=(c, d),
+            graph=graph,
+            mixer_tokens=(),
+            initial_hadamard=initial_state == "0",
+        ),
+        engine="statevector",
+    )
+    X = np.random.default_rng(29).uniform(-np.pi, np.pi, (3, 4))
+    np.testing.assert_allclose(program.gradients(X), dense.gradients(X), atol=ATOL)
 
 
 def test_unknown_parameter_rejected():

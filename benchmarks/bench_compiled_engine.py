@@ -44,10 +44,12 @@ MAX_STEPS = 200
 TIMED_EVALS = 200
 MIN_SPEEDUP = 5.0
 #: end-to-end floor: a 200-step training also pays COBYLA's own
-#: trust-region linear algebra (~1ms/step, engine-independent), which
-#: bounds the best possible end-to-end ratio well below the per-eval one
-#: — and on a throttled shared CI runner that fixed share grows, so the
-#: gate is deliberately loose (measured ~5.5x on an idle box)
+#: trust-region linear algebra (~0.2ms/step with the package's PRIMA
+#: transcription, ~1.3ms/step on SciPy's; engine-independent), which
+#: bounds the best possible end-to-end ratio below the per-eval one — and
+#: on a throttled shared CI runner that fixed share grows, so the gate is
+#: deliberately loose (measured on an idle box: ~5.5x with SciPy's COBYLA,
+#: ~14x with the package's)
 MIN_TRAIN_SPEEDUP = 2.0
 
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Benchmark-smoke: tiny end-to-end runs of the search stack and the service.
 
-Six independent checks (select one with ``--only
-search|service|chaos|workloads|surrogate|adam``):
+Seven independent checks (select one with ``--only
+search|service|chaos|workloads|surrogate|adam|cobyla``):
 
 **search** — one tiny cold + warm search through the full Algorithm 1
 stack (enumeration → QBuilder → training → selection), the fault-tolerant
@@ -48,6 +48,14 @@ workload through ``repro.api.search``, asserting a well-formed result
 (winner, ratio in range, finite trained parameters) and that the compiled
 engine's adjoint gradient at the winner's trained point matches the
 statevector engine's per-occurrence parameter-shift gradient to 1e-10.
+
+**cobyla** — the optimizer-identity gate: the facade's default sweep
+(``er:3``, depths 2, COBYLA) through ``repro.api.search`` twice, once with
+the package's own COBYLA and once with ``scipy.optimize.minimize(method=
+"COBYLA")`` swapped into ``Cobyla.minimize``, asserting every candidate's
+energies, ratios, ``nfev`` and trained parameters are identical. It prints
+both wall times; there is no timing gate (shared CI runners are too noisy).
+Skipped when SciPy is older than 1.16 (no PRIMA COBYLA to compare with).
 """
 
 from __future__ import annotations
@@ -475,11 +483,77 @@ def smoke_adam() -> int:
     return 0
 
 
+def _scipy_cobyla_minimize(self, fn, x0):
+    """``Cobyla.minimize`` on SciPy's COBYLA (the reference for --only cobyla)."""
+    import warnings
+
+    import numpy as np
+    from scipy.optimize import minimize
+
+    from repro.optimizers.base import ObjectiveTracer, OptimizeResult
+
+    tracer = ObjectiveTracer(fn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = minimize(
+            tracer, np.asarray(x0, dtype=float), method="COBYLA",
+            options={"maxiter": self.maxiter, "rhobeg": self.rhobeg, "tol": self.tol},
+        )
+    return OptimizeResult(
+        x=tracer.best_x if tracer.best_x is not None else np.asarray(x0, float),
+        fun=tracer.best,
+        nfev=tracer.nfev,
+        nit=tracer.nfev,
+        converged=bool(result.success),
+        message=str(result.message),
+        history=tracer.trace,
+    )
+
+
+def smoke_cobyla() -> int:
+    import importlib.util
+
+    if importlib.util.find_spec("scipy._lib.pyprima") is None:
+        print("cobyla smoke SKIPPED: SciPy < 1.16 has no PRIMA COBYLA to compare with")
+        return 0
+    import scipy.optimize  # noqa: F401  (imported up front: not part of either timing)
+
+    from repro.api import Config, search
+    from repro.optimizers import Cobyla
+
+    def timed():
+        start = time.perf_counter()
+        result = search("er:3", depths=2, config=Config())
+        return result, time.perf_counter() - start
+
+    ours, ours_s = timed()
+    own_minimize = Cobyla.minimize
+    Cobyla.minimize = _scipy_cobyla_minimize
+    try:
+        theirs, theirs_s = timed()
+    finally:
+        Cobyla.minimize = own_minimize
+    fields = ("tokens", "p", "energy", "ratio", "per_graph_energy",
+              "per_graph_ratio", "nfev", "best_params")
+    count = 0
+    for mine, ref in zip(ours.depth_results, theirs.depth_results, strict=True):
+        for a, b in zip(mine.evaluations, ref.evaluations, strict=True):
+            for name in fields:
+                assert getattr(a, name) == getattr(b, name), (
+                    f"{a.tokens} p={a.p}: {name} differs from SciPy's COBYLA"
+                )
+            count += 1
+    print(f"cobyla: {count} candidates identical to SciPy's COBYLA; sweep "
+          f"{ours_s:.2f}s (repro) vs {theirs_s:.2f}s (scipy)")
+    print("cobyla smoke OK")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--only",
-        choices=["search", "service", "chaos", "workloads", "surrogate", "adam"],
+        choices=["search", "service", "chaos", "workloads", "surrogate", "adam", "cobyla"],
         default=None,
         help="run just one smoke (default: all)",
     )
@@ -496,6 +570,8 @@ def main() -> int:
         smoke_surrogate()
     if args.only in (None, "adam"):
         smoke_adam()
+    if args.only in (None, "cobyla"):
+        smoke_cobyla()
     return 0
 
 

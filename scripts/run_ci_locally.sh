@@ -46,6 +46,7 @@ python scripts/ci_smoke.py --only chaos
 python scripts/ci_smoke.py --only workloads
 python scripts/ci_smoke.py --only surrogate
 python scripts/ci_smoke.py --only adam
+python scripts/ci_smoke.py --only cobyla
 python scripts/bench_report.py
 python benchmarks/bench_compiled_engine.py
 python benchmarks/bench_batched_optimizers.py

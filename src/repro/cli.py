@@ -229,13 +229,13 @@ def _cmd_search(args) -> int:
             explore_floor=args.explore_floor,
             seed=args.seed,
         )
+        config = SearchConfig(
+            p_max=args.p_max, k_min=args.k_min, k_max=args.k_max,
+            mode=args.mode, evaluation=_eval_config(args),
+            surrogate=surrogate,
+        )
     except ValueError as error:
         raise SystemExit(str(error)) from error
-    config = SearchConfig(
-        p_max=args.p_max, k_min=args.k_min, k_max=args.k_max,
-        mode=args.mode, evaluation=_eval_config(args),
-        surrogate=surrogate,
-    )
     if args.resume and not args.cache_dir:
         raise SystemExit("--resume requires --cache-dir")
     if args.shards < 1:

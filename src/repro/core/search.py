@@ -68,6 +68,14 @@ class SearchConfig:
     def __post_init__(self) -> None:
         check_positive(self.p_max, "p_max")
         check_positive(self.k_max, "k_max")
+        # COBYLA needs n + 2 evaluations for the n = 2p parameters of depth
+        # p; a smaller budget would be overspent, not honoured.
+        needed = 2 * self.p_max + 2
+        if self.evaluation.optimizer == "cobyla" and self.evaluation.max_steps < needed:
+            raise ValueError(
+                f"optimizer 'cobyla' needs steps >= 2 * p_max + 2 = {needed} "
+                f"at p_max={self.p_max}, got {self.evaluation.max_steps}"
+            )
 
 
 def _make_runtime(

@@ -22,8 +22,8 @@ batch instead of a Python loop of scalar calls. Two seams make that work:
   points at once. Batch-native subclasses (``supports_batch = True``)
   run the whole population in lockstep, evaluating each step's proposals
   in a single ``values`` call; the base implementation falls back to one
-  serial :meth:`Optimizer.minimize` per row, so scipy-backed optimizers
-  (COBYLA) keep working unchanged.
+  serial :meth:`Optimizer.minimize` per row, so point-at-a-time
+  optimizers (COBYLA) keep working unchanged.
 
 Per-point accounting is identical on both paths: ``nfev`` counts evaluated
 *points*, never batch calls, and each restart's ``history`` is its own
@@ -184,7 +184,8 @@ class Optimizer(abc.ABC):
 
         Base implementation: the serial fallback — one independent
         :meth:`minimize` per start point, ignoring ``batch_fn`` — so any
-        optimizer (including scipy-backed ones) accepts a population.
+        optimizer (including point-at-a-time ones like COBYLA) accepts a
+        population.
         """
         del batch_fn  # the serial fallback evaluates point by point
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))

@@ -120,6 +120,14 @@ class TestSearch:
         assert warm.config["cache_hits"] == 4
         assert warm.best_energy == cold.best_energy
 
+    def test_cobyla_budget_below_n_plus_2_rejected_before_training(self):
+        """Depth 3 has 6 parameters, so COBYLA needs 8 evaluations; 7
+        would be overspent, so the facade refuses the sweep up front."""
+        with pytest.raises(ValueError, match=r"2 \* p_max \+ 2 = 8"):
+            search("er:1", depths=3, config=Config(steps=7))
+        # other optimizers keep their own budget rules
+        Config(steps=7, optimizer="spsa").search_config(3)
+
     def test_top_level_exports(self):
         import repro
 

@@ -98,6 +98,10 @@ class TestSearchCommand:
         warm_out = capsys.readouterr().out
         assert "cache: 5 hits, 0 misses" in warm_out
 
+    def test_cobyla_budget_below_n_plus_2_rejected(self):
+        with pytest.raises(SystemExit, match=r"2 \* p_max \+ 2 = 6"):
+            main(["search", "--graphs", "1", "--steps", "5", "--p-max", "2"])
+
     def test_resume_requires_cache_dir(self):
         with pytest.raises(SystemExit, match="--resume requires --cache-dir"):
             main(["search", "--resume"])

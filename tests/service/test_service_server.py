@@ -162,6 +162,16 @@ class TestValidation:
         assert status == 400
         assert "explore_floor" in body["error"]
 
+    def test_cobyla_budget_below_n_plus_2_rejected_at_submit(self, service):
+        _, base = service
+        status, body = http(
+            "POST",
+            base + "/submit",
+            {"workload": "er:1", "depths": 3, "config": {"steps": 7}},
+        )
+        assert status == 400
+        assert "2 * p_max + 2 = 8" in body["error"]
+
     def test_surrogate_config_accepted_at_submit(self, service):
         _, base = service
         spec = dict(SPEC)

@@ -16,7 +16,7 @@ from repro.core.search import SearchConfig
 from repro.graphs.datasets import DATASET_FAMILIES
 from repro.surrogate import SurrogateConfig
 
-FAST = dict(k_min=1, k_max=2, steps=6)
+FAST = dict(k_min=1, k_max=2, steps=8)
 
 
 def run(tmp_path=None, **overrides):
